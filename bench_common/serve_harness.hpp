@@ -424,8 +424,10 @@ template <class RT>
 void serve_lane(typename RT::Ctx& c, const ServeConfig& cfg, ServeShared& sh,
                 LaneStats& lane) {
   // Start barrier: the lane that completes the rendezvous stamps the
-  // clocks and releases the group. Lanes allocate nothing while
-  // staged, so no collection can be waiting on a spinning lane.
+  // clocks and releases the group. A staged lane polls a safepoint as
+  // it spins: a stop can begin while it waits (hier's forking parent
+  // polls its fork2-entry safepoint after the sibling lane is already
+  // stealable), and that stop must be able to park the spinner.
   if (sh.staged.fetch_add(1, std::memory_order_acq_rel) + 1 == sh.lanes) {
     const std::int64_t now = now_ns();
     const double warmup =
@@ -446,6 +448,7 @@ void serve_lane(typename RT::Ctx& c, const ServeConfig& cfg, ServeShared& sh,
     sh.go.store(true, std::memory_order_release);
   } else {
     while (!sh.go.load(std::memory_order_acquire)) {
+      c.poll();
       spin_relax();
     }
   }

@@ -73,7 +73,7 @@ class OutOfMemory : public std::bad_alloc {
 namespace failpoint {
 
 enum class Site : unsigned {
-  kChunkAlloc = 0,  // ChunkPool::fresh (chunk memory from the OS)
+  kChunkAlloc = 0,  // ChunkPool::admit (fresh slot or oversized mapping)
   kPacketAlloc,     // ParallelCollector::take_packet (grey-packet malloc)
   kPromoteCopy,     // promote_and_store entry (promotion closure copy)
   kCount,

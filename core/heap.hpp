@@ -1,24 +1,27 @@
 // Chunked heaps arranged in a tree that mirrors the fork-join task
-// tree. A heap is a singly linked list of 256 KiB chunks, each aligned
-// to its own size so `object -> owning heap` is one mask plus one load
+// tree. A heap is a singly linked list of chunks, each starting on a
+// 256 KiB boundary so `object -> owning heap` is one mask plus one load
 // (no per-object heap word, which keeps allocation at a pointer bump).
 //
-// Chunks are recycled through a per-runtime ChunkPool so steady-state
-// allocation and leaf GC never touch the OS allocator. Full-size and
-// oversized chunks are mmap-backed so freeing one (pool destruction,
-// ChunkPool::trim after a global collection) returns pages to the OS
-// immediately; sub-chunk starter sizes stay on posix_memalign, whose
-// arena recycles their per-leaf churn cheaply. Oversized objects get a
-// dedicated multiple-of-256KiB chunk; their start address still lies
-// inside the first aligned block, so the mask trick holds.
+// Every chunk comes from a per-runtime ChunkPool. Chunks of 4 KiB to
+// 256 KiB are 256 KiB-aligned slots carved from large MAP_NORESERVE
+// reservations and recycled by size class, so steady-state allocation,
+// leaf GC and per-fork heap turnover never reach the OS (a fork's
+// starter chunk is a pointer pop, not a page-faulting allocation), and
+// ChunkPool::trim hands pooled pages back with MADV_DONTNEED. Oversized
+// objects get a dedicated, individually mapped multiple-of-256KiB
+// chunk; their start address still lies inside the first aligned
+// block, so the mask trick holds.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <mutex>
 #include <new>
+#include <vector>
 
 #include <sys/mman.h>
 
@@ -36,6 +39,16 @@
 #if defined(PARMEM_TSAN)
 #include <sanitizer/tsan_interface.h>
 #endif
+#if defined(__SANITIZE_ADDRESS__)
+#define PARMEM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PARMEM_ASAN 1
+#endif
+#endif
+#if defined(PARMEM_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace parmem {
 
@@ -50,7 +63,11 @@ inline constexpr std::size_t kChunkPayload = kChunkBytes - kChunkHeaderBytes;
 // a fine-grained fork tree of thousands of tiny leaves doesn't pin a
 // full 256 KiB per leaf. Small chunks are still kChunkBytes-ALIGNED
 // (so chunk_of()'s mask finds the header) but only kMinChunkBytes big.
-inline constexpr std::size_t kMinChunkBytes = std::size_t{4} << 10;
+inline constexpr std::size_t kMinChunkBytesLog2 = 12;
+inline constexpr std::size_t kMinChunkBytes = std::size_t{1}
+                                              << kMinChunkBytesLog2;
+static_assert(kChunkSizeClasses == kChunkBytesLog2 - kMinChunkBytesLog2 + 1,
+              "one chunk size class per power of two");
 
 struct alignas(kChunkHeaderBytes) Chunk {
   std::atomic<Heap*> heap{nullptr};  // owning heap; retargeted at join-merge
@@ -58,7 +75,6 @@ struct alignas(kChunkHeaderBytes) Chunk {
   char* obj_end = nullptr;  // end of allocated objects; valid when retired
   std::size_t bytes = 0;    // total footprint including header
   bool oversized = false;
-  bool mmapped = false;     // mmap-backed (full-size / oversized chunks)
   bool from_space = false;  // transient mark used by the leaf collector
 
   char* data() { return reinterpret_cast<char*>(this) + kChunkHeaderBytes; }
@@ -101,31 +117,30 @@ class SpinLock {
   std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
 };
 
-// Per-runtime chunk recycler. The global free list sits behind a
-// mutex, but sharded per-thread caches (kCacheShards slots of up to
-// kCacheCap full-size chunks, each shard on its own cache line behind
-// its own spinlock) absorb the common acquire/release churn of leaf
-// GC and fork-tree turnover, so only cache misses and overflows ever
-// touch the shared lock.
+// Per-runtime chunk recycler and the one source of every chunk a heap
+// owns. A chunk of 4 KiB to 256 KiB is a slot: one kChunkBytes-aligned,
+// kChunkBytes-long stretch of a large MAP_NORESERVE reservation, of
+// which the chunk uses only its first `bytes`, so only the pages it
+// touches count toward RSS. A released chunk is pooled by size class
+// and handed out again for the same size: first through the caller's
+// CacheShard (kCacheShards of them, each cache-line aligned behind its
+// own spinlock, holding up to kCacheBytes per class), then through the
+// class's shared list behind a mutex. Steady-state allocation, leaf GC
+// and fork-tree turnover therefore never reach the OS; only a class
+// whose lists are empty takes a blank slot. Oversized chunks are
+// mapped one by one and unmapped on release.
 class ChunkPool {
  public:
   ChunkPool() = default;
   ChunkPool(const ChunkPool&) = delete;
   ChunkPool& operator=(const ChunkPool&) = delete;
 
+  // Heaps die before their pool, so every slot is pooled or blank by
+  // now and unmapping the reservations frees them all.
   ~ChunkPool() {
-    for (CacheShard& s : cache_) {
-      while (s.head != nullptr) {
-        Chunk* c = s.head;
-        s.head = c->next;
-        free_chunk(c);
-      }
-    }
-    std::lock_guard<std::mutex> g(mu_);
-    while (free_ != nullptr) {
-      Chunk* c = free_;
-      free_ = c->next;
-      free_chunk(c);
+    for (const Reservation& r : reservations_) {
+      asan_unpoison(r.base, kReservationBytes);
+      ::munmap(r.base, kReservationBytes);
     }
   }
 
@@ -134,109 +149,126 @@ class ChunkPool {
   // fit the payload and clamped to [kMinChunkBytes, kChunkBytes].
   //
   // Throws parmem::OutOfMemory when handing out the chunk would push
-  // live_bytes past the budget (or the chunk_alloc failpoint fires, or
-  // the OS refuses the memory). Collector-context allocations
+  // live_bytes past the budget (or, when the chunk needs memory from
+  // the OS, the chunk_alloc failpoint fires or the OS refuses it; a
+  // pooled chunk never faults). Collector-context allocations
   // (failpoint::gc_exempt) bypass budget and faults: a mid-evacuation
   // failure is not unwindable, and to-space is bounded by live data.
   Chunk* acquire(std::size_t payload_bytes,
                  std::size_t size_hint = kChunkBytes) {
-    if (payload_bytes <= kChunkPayload) {
-      std::size_t want = size_hint < kMinChunkBytes ? kMinChunkBytes
-                         : size_hint > kChunkBytes  ? kChunkBytes
-                                                    : size_hint;
-      while (want - kChunkHeaderBytes < payload_bytes) {
-        want <<= 1;  // terminates: payload fits a kChunkBytes chunk
-      }
-      if (want < kChunkBytes) {
-        return fresh(want, false);
-      }
-      // Per-thread cache first: uncontended spinlock on our own line.
-      // check_budget runs BEFORE the pop on both paths, so a budget
-      // throw leaves the chunk where it was.
-      {
-        CacheShard& s = shard();
-        std::lock_guard<SpinLock> g(s.lock);
-        if (s.head != nullptr) {
-          check_budget(s.head->bytes);  // pooled reuse still counts as live
-          Chunk* c = s.head;
-          s.head = c->next;
-          --s.count;
-          account_live(c->bytes);
-          reset(c);
-          return c;
-        }
-      }
-      {
-        std::lock_guard<std::mutex> g(mu_);
-        if (free_ != nullptr) {
-          check_budget(free_->bytes);
-          Chunk* c = free_;
-          free_ = c->next;
-          account_live(c->bytes);
-          reset(c);
-          return c;
-        }
-      }
-      return fresh(kChunkBytes, false);
+    if (payload_bytes > kChunkPayload) {
+      return map_oversized(payload_bytes);
     }
-    std::size_t total = kChunkHeaderBytes + payload_bytes;
-    total = (total + kChunkBytes - 1) & ~(kChunkBytes - 1);
-    return fresh(total, true);
+    std::size_t want = size_hint < kMinChunkBytes ? kMinChunkBytes
+                       : size_hint > kChunkBytes  ? kChunkBytes
+                                                  : size_hint;
+    while (want - kChunkHeaderBytes < payload_bytes) {
+      want <<= 1;  // terminates: payload fits a kChunkBytes chunk
+    }
+    const unsigned k = size_class(want);
+    // Caller's shard first: an uncontended spinlock on its own line.
+    // check_budget runs BEFORE the pop on both paths, so a budget throw
+    // leaves the chunk where it was.
+    CacheShard& s = shard();
+    Chunk* c = nullptr;
+    {
+      std::lock_guard<SpinLock> g(s.lock);
+      if (s.head[k] != nullptr) {
+        check_budget(want);  // pooled reuse still counts as live
+        c = s.head[k];
+        s.head[k] = c->next;
+        --s.count[k];
+      }
+    }
+    if (c == nullptr) {
+      std::lock_guard<std::mutex> g(mu_);
+      if (free_[k] != nullptr) {
+        check_budget(want);
+        c = free_[k];
+        free_[k] = c->next;
+      }
+    }
+    if (c == nullptr) {
+      return fresh(k);
+    }
+    s.recycled[k].fetch_add(1, std::memory_order_relaxed);
+    return hand_out(c, want);
   }
 
   void release(Chunk* c) {
-    std::size_t bytes = c->bytes;
-    if (c->oversized || c->bytes < kChunkBytes) {
-      // Only full-size chunks are pooled; small starter chunks are
-      // cheap to realloc and pooling them would fragment the free list.
-      free_chunk(c);
+    const std::size_t bytes = c->bytes;
+    if (c->oversized) {
+      ::munmap(c, bytes);
     } else {
+      // Poisoned before it is published: once pooled, another thread
+      // may pop and unpoison it.
+      asan_poison(c->data(), bytes - kChunkHeaderBytes);
+      const unsigned k = size_class(bytes);
       // Capped per-thread cache first; overflow spills to the shared
       // list so one thread's GC churn stays reusable by everyone.
       CacheShard& s = shard();
       bool cached = false;
       {
         std::lock_guard<SpinLock> g(s.lock);
-        if (s.count < kCacheCap) {
-          c->next = s.head;
-          s.head = c;
-          ++s.count;
+        if ((s.count[k] + 1) * bytes <= kCacheBytes) {
+          c->next = s.head[k];
+          s.head[k] = c;
+          ++s.count[k];
           cached = true;
         }
       }
       if (!cached) {
         std::lock_guard<std::mutex> g(mu_);
-        c->next = free_;
-        free_ = c;
+        c->next = free_[k];
+        free_[k] = c;
       }
     }
     live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
-  // Frees pooled chunks from the shared free list until at most
-  // keep_bytes remain pooled there (the per-thread caches, capped at
-  // kCacheShards * kCacheCap chunks, are untouched). Full-size chunks
-  // are mmap-backed at this allocation size, so freeing actually
-  // returns RSS to the OS. Collectors that just emptied a large
-  // from-space call this; without it the pool pins the process at its
-  // all-time chunk high-water forever.
+  // Returns the pages of pooled chunks to the OS until at most
+  // keep_bytes of them stay resident, across every size class and the
+  // per-thread caches alike. A trimmed slot is MADV_DONTNEED'd and goes
+  // back to its reservation as a blank slot, which any class can take
+  // next; unmapping it instead would split the reservation's mapping,
+  // and a mapping per slot runs into vm.max_map_count. Collectors that
+  // just emptied a large from-space call this; without it the pool pins
+  // the process at its all-time chunk high-water forever.
   void trim(std::size_t keep_bytes) {
     Chunk* excess = nullptr;
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      std::size_t pooled = 0;
-      Chunk** p = &free_;
-      while (*p != nullptr && pooled + (*p)->bytes <= keep_bytes) {
-        pooled += (*p)->bytes;
-        p = &(*p)->next;
+    std::size_t kept = 0;
+    auto sift = [&](Chunk*& head) {
+      unsigned moved = 0;
+      for (Chunk** p = &head; *p != nullptr;) {
+        Chunk* c = *p;
+        if (kept + c->bytes <= keep_bytes) {
+          kept += c->bytes;
+          p = &c->next;
+        } else {
+          *p = c->next;
+          c->next = excess;
+          excess = c;
+          ++moved;
+        }
       }
-      excess = *p;
-      *p = nullptr;
+      return moved;
+    };
+    for (CacheShard& s : cache_) {
+      std::lock_guard<SpinLock> g(s.lock);
+      for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+        s.count[k] -= sift(s.head[k]);
+      }
+    }
+    std::lock_guard<std::mutex> g(mu_);
+    for (Chunk*& head : free_) {
+      sift(head);
     }
     while (excess != nullptr) {
       Chunk* c = excess;
-      excess = c->next;
-      free_chunk(c);
+      const std::size_t bytes = c->bytes;
+      excess = c->next;  // read before the header's page is dropped
+      ::madvise(c, bytes, MADV_DONTNEED);
+      mark_blank(reinterpret_cast<char*>(c));
     }
   }
 
@@ -246,6 +278,17 @@ class ChunkPool {
   }
   std::size_t peak_bytes() const {
     return peak_bytes_.load(std::memory_order_relaxed);
+  }
+
+  // `s` with this pool's per-class fresh/recycled chunk counters added.
+  Stats with_chunk_counts(Stats s) const {
+    for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+      s.chunks_fresh[k] += fresh_[k].load(std::memory_order_relaxed);
+      for (const CacheShard& sh : cache_) {
+        s.chunks_recycled[k] += sh.recycled[k].load(std::memory_order_relaxed);
+      }
+    }
+    return s;
   }
 
   // Hard byte budget on handed-out chunks (0 = unlimited). Enforced in
@@ -260,22 +303,45 @@ class ChunkPool {
   }
 
  private:
+  static constexpr std::size_t kReservationSlots = 256;  // 64 MiB each
+  static constexpr std::size_t kReservationBytes =
+      kReservationSlots * kChunkBytes;
+  static constexpr unsigned kCacheShards = 8;  // power of two
+  // Per shard and class: 4 full-size chunks, or 256 4 KiB starters.
+  static constexpr std::size_t kCacheBytes = 4 * kChunkBytes;
+
+  static unsigned size_class(std::size_t bytes) {
+    return static_cast<unsigned>(std::countr_zero(bytes)) -
+           static_cast<unsigned>(kMinChunkBytesLog2);
+  }
+
+  // Under ASan a pooled chunk's payload is poisoned, so a stale pointer
+  // into a released chunk faults at the access, as it would on freed
+  // memory. The header stays addressable: the free lists live there.
+  static void asan_poison([[maybe_unused]] void* p,
+                          [[maybe_unused]] std::size_t n) {
+#if defined(PARMEM_ASAN)
+    ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+  }
+  static void asan_unpoison([[maybe_unused]] void* p,
+                            [[maybe_unused]] std::size_t n) {
+#if defined(PARMEM_ASAN)
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
+  }
+
   void check_budget(std::size_t incoming) {
     std::size_t b = budget_.load(std::memory_order_relaxed);
     if (__builtin_expect(b != 0, 0) && !failpoint::gc_exempt() &&
         live_bytes_.load(std::memory_order_relaxed) + incoming > b) {
-      throw OutOfMemory("chunk_alloc", incoming, live_bytes(), b,
-                        peak_bytes());
+      throw oom(incoming);
     }
   }
-  static void reset(Chunk* c) {
-    c->heap.store(nullptr, std::memory_order_relaxed);
-    c->next = nullptr;
-    c->obj_end = nullptr;
-    c->from_space = false;
-  }
 
-  Chunk* fresh(std::size_t total, bool oversized) {
+  // Budget and fault gate for memory that comes from the OS (a fresh
+  // slot or an oversized mapping).
+  void admit(std::size_t total) {
     check_budget(total);
     // gc_exempt checked FIRST: triggered() consumes a hit from the
     // schedule, and collector-context allocations must not eat the
@@ -283,48 +349,97 @@ class ChunkPool {
     if (__builtin_expect(!failpoint::gc_exempt() &&
                              failpoint::triggered(failpoint::Site::kChunkAlloc),
                          0)) {
-      throw OutOfMemory("chunk_alloc", total, live_bytes(), budget(),
-                        peak_bytes());
+      throw oom(total);
     }
-    // Full-size and oversized chunks bypass glibc and mmap directly:
-    // these are the bulk of heap memory, and releasing one must
-    // return its pages to the OS NOW (glibc's free of comparably
-    // sized blocks either munmaps -- in which case every 256
-    // KiB-ALIGNED request, even a 4 KiB starter whose internal
-    // size+alignment allocation crosses the mmap threshold, pays
-    // mmap/munmap/refault churn -- or, once its dynamic threshold
-    // ratchets past the chunk size, parks them in the main arena
-    // forever and steady RSS reads as the all-time high-water). The
-    // sub-chunk starter sizes keep posix_memalign (not aligned_alloc:
-    // total < alignment, which aligned_alloc rejects); their churn is
-    // exactly what glibc's arena recycles well. The kChunkBytes
-    // alignment is what makes chunk_of()'s address mask work.
-    void* mem = nullptr;
-    bool mapped = total >= kChunkBytes;
-    if (mapped) {
-      mem = map_chunk_aligned(total);
-    } else if (posix_memalign(&mem, kChunkBytes, total) != 0) {
-      mem = nullptr;
-    }
-    if (mem == nullptr) {
-      throw OutOfMemory("chunk_alloc", total, live_bytes(), budget(),
-                        peak_bytes());
-    }
+  }
+
+  OutOfMemory oom(std::size_t total) const {
+    return OutOfMemory("chunk_alloc", total, live_bytes(), budget(),
+                       peak_bytes());
+  }
+
+  // (Re)initialise the header at `mem` and count it live.
+  Chunk* hand_out(void* mem, std::size_t bytes) {
+    asan_unpoison(static_cast<char*>(mem) + kChunkHeaderBytes,
+                  bytes - kChunkHeaderBytes);
     Chunk* c = new (mem) Chunk();
-    c->bytes = total;
-    c->oversized = oversized;
-    c->mmapped = mapped;
-    account_live(total);
+    c->bytes = bytes;
+    account_live(bytes);
     return c;
   }
 
-  // Anonymous mapping of `total` bytes at kChunkBytes alignment: map
-  // alignment's worth of slack, then unmap the misaligned head and
-  // tail. Returns nullptr when the OS refuses the memory.
-  static void* map_chunk_aligned(std::size_t total) {
+  Chunk* fresh(unsigned k) {
+    const std::size_t bytes = kMinChunkBytes << k;
+    admit(bytes);
+    char* slot = nullptr;
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      slot = take_blank_slot(bytes);
+    }
+    fresh_[k].fetch_add(1, std::memory_order_relaxed);
+    return hand_out(slot, bytes);
+  }
+
+  Chunk* map_oversized(std::size_t payload_bytes) {
+    std::size_t total = kChunkHeaderBytes + payload_bytes;
+    total = (total + kChunkBytes - 1) & ~(kChunkBytes - 1);
+    admit(total);
+    void* mem = map_aligned(total);
+    if (mem == nullptr) {
+      throw oom(total);
+    }
+    Chunk* c = hand_out(mem, total);
+    c->oversized = true;
+    return c;
+  }
+
+  // Lowest blank slot of any reservation, mapping a new reservation
+  // when none is left. Caller holds mu_.
+  char* take_blank_slot(std::size_t bytes) {
+    for (Reservation& r : reservations_) {
+      for (std::size_t w = 0; w < r.blank.size(); ++w) {
+        if (r.blank[w] != 0) {
+          const auto i = static_cast<std::size_t>(std::countr_zero(r.blank[w]));
+          r.blank[w] &= r.blank[w] - 1;
+          return r.base + (w * 64 + i) * kChunkBytes;
+        }
+      }
+    }
+    reservations_.reserve(reservations_.size() + 1);
+    void* mem = map_aligned(kReservationBytes);
+    if (mem == nullptr) {
+      throw oom(bytes);
+    }
+    // A starter touches one 4 KiB page; on a THP=always host it must
+    // not pin a 2 MB huge page.
+    ::madvise(mem, kReservationBytes, MADV_NOHUGEPAGE);
+    Reservation& r = reservations_.emplace_back();
+    r.base = static_cast<char*>(mem);
+    r.blank.fill(~std::uint64_t{0});
+    r.blank[0] &= ~std::uint64_t{1};  // slot 0 is the one handed out
+    return r.base;
+  }
+
+  // Caller holds mu_.
+  void mark_blank(char* slot) {
+    for (Reservation& r : reservations_) {
+      if (slot >= r.base && slot < r.base + kReservationBytes) {
+        const auto i = static_cast<std::size_t>(slot - r.base) / kChunkBytes;
+        r.blank[i / 64] |= std::uint64_t{1} << (i % 64);
+        return;
+      }
+    }
+    assert(false && "slot outside every reservation");
+  }
+
+  // Anonymous MAP_NORESERVE mapping of `total` bytes at kChunkBytes
+  // alignment: map alignment's worth of slack, then unmap the
+  // misaligned head and tail. Returns nullptr when the OS refuses the
+  // memory.
+  static void* map_aligned(std::size_t total) {
     std::size_t span = total + kChunkBytes;
     void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (raw == MAP_FAILED) {
       return nullptr;
     }
@@ -340,15 +455,6 @@ class ChunkPool {
     return reinterpret_cast<void*>(aligned);
   }
 
-  static void free_chunk(Chunk* c) {
-    if (c->mmapped) {
-      std::size_t bytes = c->bytes;
-      ::munmap(c, bytes);
-    } else {
-      std::free(c);
-    }
-  }
-
   void account_live(std::size_t bytes) {
     std::size_t now =
         live_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
@@ -358,23 +464,30 @@ class ChunkPool {
     }
   }
 
-  static constexpr unsigned kCacheShards = 8;  // power of two
-  static constexpr unsigned kCacheCap = 4;     // chunks per shard
-
   struct alignas(64) CacheShard {
     SpinLock lock;
-    Chunk* head = nullptr;
-    unsigned count = 0;
+    Chunk* head[kChunkSizeClasses] = {};
+    unsigned count[kChunkSizeClasses] = {};
+    std::atomic<std::uint64_t> recycled[kChunkSizeClasses] = {};
+  };
+
+  // One address-space reservation of kReservationSlots slots. A blank
+  // slot holds no chunk and no resident pages: never used, or trimmed.
+  struct Reservation {
+    char* base = nullptr;
+    std::array<std::uint64_t, kReservationSlots / 64> blank{};
   };
 
   CacheShard& shard() { return cache_[thread_shard_id() % kCacheShards]; }
 
   CacheShard cache_[kCacheShards];
-  std::mutex mu_;  // global free list: cache-miss path only
-  Chunk* free_ = nullptr;
+  std::mutex mu_;  // guards the shared lists and the reservations
+  Chunk* free_[kChunkSizeClasses] = {};
+  std::vector<Reservation> reservations_;
+  std::atomic<std::uint64_t> fresh_[kChunkSizeClasses] = {};
   // The byte counters live on their own line: every acquire/release on
   // every worker hits them, and they must not share a line with the
-  // mutex word or the free-list head.
+  // mutex word or the free-list heads.
   alignas(64) std::atomic<std::size_t> live_bytes_{0};
   std::atomic<std::size_t> peak_bytes_{0};
   std::atomic<std::size_t> budget_{0};  // 0 = unlimited

@@ -173,6 +173,12 @@ class HierRuntime {
       return v != nullptr ? Object::chase(v) : nullptr;
     }
 
+    void poll() {
+      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+        rt_->safepoint();
+      }
+    }
+
     // Force a leaf collection now (also used at joins when
     // gc_join_threshold is set). A no-op on an empty heap: no stats
     // churn, no budget rescale, and the chunk-doubling schedule keeps
@@ -429,17 +435,15 @@ class HierRuntime {
   HierRuntime& operator=(const HierRuntime&) = delete;
 
   ~HierRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
     stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
+                      rtapi::snapshot_of(*this));
   }
 
   const Options& options() const { return opts_; }
   unsigned workers() const { return pool_.workers(); }
-  Stats stats() const { return stats_.snapshot(); }
+  Stats stats() const {
+    return chunks_.with_chunk_counts(stats_.snapshot());
+  }
   std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
   std::size_t live_bytes() const { return chunks_.live_bytes(); }
   // Scheduler idle churn (timed-out parks); see WorkStealPool. The

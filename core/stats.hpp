@@ -17,6 +17,10 @@ enum class PromotionMode {
   kFineGrained,    // CAS-claim per object + spinlocked remote bump (Sec 5)
 };
 
+// Chunk size classes, one per power of two from 4 KiB to 256 KiB:
+// class k holds chunks of 4 KiB << k bytes (core/heap.hpp ChunkPool).
+inline constexpr unsigned kChunkSizeClasses = 7;
+
 // Snapshot of runtime counters. Monotonic over the life of a runtime;
 // bench_common::measure() diffs two snapshots around a run.
 struct Stats {
@@ -44,6 +48,13 @@ struct Stats {
   // collected everything it could before retrying. Also counted in
   // gc_count; a nonzero value means the computation ran degraded.
   std::uint64_t emergency_gcs = 0;
+  // Chunk traffic per size class, read off the runtime's ChunkPool.
+  // fresh: slots whose pages come from the OS (carved from a
+  // reservation, or reissued after trim returned their pages), so each
+  // one page-faults as it fills. recycled: pooled slots handed out
+  // again with their pages still resident.
+  std::uint64_t chunks_fresh[kChunkSizeClasses] = {};
+  std::uint64_t chunks_recycled[kChunkSizeClasses] = {};
 
   Stats& operator+=(const Stats& o) {
     promotions += o.promotions;
@@ -59,6 +70,10 @@ struct Stats {
     global_gc_count += o.global_gc_count;
     global_gc_bytes += o.global_gc_bytes;
     emergency_gcs += o.emergency_gcs;
+    for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+      chunks_fresh[k] += o.chunks_fresh[k];
+      chunks_recycled[k] += o.chunks_recycled[k];
+    }
     return *this;
   }
 
@@ -77,6 +92,10 @@ struct Stats {
     d.global_gc_count = global_gc_count - o.global_gc_count;
     d.global_gc_bytes = global_gc_bytes - o.global_gc_bytes;
     d.emergency_gcs = emergency_gcs - o.emergency_gcs;
+    for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+      d.chunks_fresh[k] = chunks_fresh[k] - o.chunks_fresh[k];
+      d.chunks_recycled[k] = chunks_recycled[k] - o.chunks_recycled[k];
+    }
     return d;
   }
 };

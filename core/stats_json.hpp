@@ -1,7 +1,8 @@
 // Machine-readable per-run stats export: each runtime instance whose
 // Options::stats_json_path (or the PARMEM_STATS_JSON env var) names a
 // file appends ONE JSON object line when the runtime is destroyed --
-// counters, memory gauges, and per-kind pause-histogram summaries.
+// counters, memory gauges, per-size-class chunk counts, and per-kind
+// pause-histogram summaries.
 // JSON-lines, so a process that builds several runtimes (the serve
 // driver runs all four) yields one parseable record per run;
 // scripts/perf_diff.py consumes two such files and gates on
@@ -42,6 +43,16 @@ inline void write_hist(std::FILE* f, const char* key, const Histogram& h) {
       static_cast<unsigned long long>(h.percentile_ns(0.95)),
       static_cast<unsigned long long>(h.percentile_ns(0.99)),
       static_cast<unsigned long long>(h.max_ns()));
+}
+
+inline void write_counts(std::FILE* f, const char* key,
+                         const std::uint64_t (&v)[kChunkSizeClasses]) {
+  std::fprintf(f, "\"%s\":[", key);
+  for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+    std::fprintf(f, "%s%llu", k == 0 ? "" : ",",
+                 static_cast<unsigned long long>(v[k]));
+  }
+  std::fprintf(f, "]");
 }
 
 }  // namespace detail
@@ -98,6 +109,18 @@ inline bool write(const std::string& path, const char* runtime,
       static_cast<unsigned long long>(s.emergency_gcs),
       static_cast<unsigned long long>(snap.live_bytes),
       static_cast<unsigned long long>(snap.peak_bytes));
+  // Per-size-class chunk traffic; element k is the 4 KiB << k class.
+  std::uint64_t class_bytes[kChunkSizeClasses];
+  for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+    class_bytes[k] = std::uint64_t{4096} << k;
+  }
+  std::fprintf(f, "\"chunks\":{");
+  detail::write_counts(f, "class_bytes", class_bytes);
+  std::fprintf(f, ",");
+  detail::write_counts(f, "fresh", s.chunks_fresh);
+  std::fprintf(f, ",");
+  detail::write_counts(f, "recycled", s.chunks_recycled);
+  std::fprintf(f, "},");
   const trace::Snapshot tr = trace::snapshot();
   std::fprintf(f, "\"pauses\":{");
   for (unsigned k = 0; k < trace::kKinds; ++k) {

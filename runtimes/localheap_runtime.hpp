@@ -184,6 +184,12 @@ class LhRuntime {
       return rt_->promote_to_global(v);
     }
 
+    void poll() {
+      if (__builtin_expect(rt_->sp_enabled_, 0)) {
+        rt_->safepoint();
+      }
+    }
+
     void collect_now() {
       WorkerState* w = w_;
       std::size_t live = leaf_gc_collect(&w->heap, &rt_->stats_.local(),
@@ -331,17 +337,15 @@ class LhRuntime {
   LhRuntime& operator=(const LhRuntime&) = delete;
 
   ~LhRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
     stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
+                      rtapi::snapshot_of(*this));
   }
 
   const Options& options() const { return opts_; }
   unsigned workers() const { return pool_.workers(); }
-  Stats stats() const { return stats_.snapshot(); }
+  Stats stats() const {
+    return chunks_.with_chunk_counts(stats_.snapshot());
+  }
   std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
   std::size_t live_bytes() const { return chunks_.live_bytes(); }
   // Scheduler idle churn (timed-out parks); see WorkStealPool.

@@ -36,16 +36,22 @@
 //                                     parent across a join: identity under
 //                                     seq/stw/hier, promotion to the global
 //                                     heap under local heaps
+//   ctx.poll()                        safepoint without allocating: a
+//                                     task that spins on other tasks
+//                                     must call it, or a stop-the-world
+//                                     collection waits on the spinner
+//                                     forever (not in RuntimeLike, so
+//                                     wrapper runtimes need not offer it)
 //   ctx.collect_now()                 force a collection
 //   ctx.root_head_ref()               RootFrame chain head (precise roots)
 //
 // Portability contract for code written against this surface (the
 // workload kernels in bench_common/workloads.hpp obey it):
 //
-//   - A raw Object* must not be held across ctx.alloc or fork2; anything
-//     live across them goes in a RootFrame Local. (Collectors move
-//     objects: leaf GC under seq/lh/hier, any alloc-triggered STW cycle
-//     under stw.)
+//   - A raw Object* must not be held across ctx.alloc, ctx.poll or
+//     fork2; anything live across them goes in a RootFrame Local.
+//     (Collectors move objects: leaf GC under seq/lh/hier, any
+//     alloc-triggered STW cycle under stw.)
 //   - A branch may RETURN a raw Object*: fork2 carries each branch's
 //     result through a rooted channel (ResultChannel below) -- the value
 //     is published on the executing worker and parked in a parent-frame

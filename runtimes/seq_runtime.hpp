@@ -89,6 +89,8 @@ class SeqRuntime {
 
     Object* publish(Object* v) { return v; }
 
+    void poll() {}  // one task, so nothing ever waits on it
+
     void collect_now() {
       std::size_t live = leaf_gc_collect(heap_, &rt_->stats_.local(),
                                          [this](auto&& fn) {
@@ -158,17 +160,15 @@ class SeqRuntime {
   SeqRuntime& operator=(const SeqRuntime&) = delete;
 
   ~SeqRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
     stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
+                      rtapi::snapshot_of(*this));
   }
 
   const Options& options() const { return opts_; }
   unsigned workers() const { return 1; }
-  Stats stats() const { return stats_.snapshot(); }
+  Stats stats() const {
+    return chunks_.with_chunk_counts(stats_.snapshot());
+  }
   std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
   std::size_t live_bytes() const { return chunks_.live_bytes(); }
 

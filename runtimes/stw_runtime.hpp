@@ -118,6 +118,7 @@ class StwRuntime {
 
     Object* publish(Object* v) { return v; }
 
+    void poll() { rt_->safepoint(); }
     void collect_now() { rt_->collect(this, /*force=*/true); }
 
     StwRuntime& runtime() { return *rt_; }
@@ -188,17 +189,15 @@ class StwRuntime {
   StwRuntime& operator=(const StwRuntime&) = delete;
 
   ~StwRuntime() {
-    StatsSnapshot snap;
-    snap.stats = stats_.snapshot();
-    snap.live_bytes = chunks_.live_bytes();
-    snap.peak_bytes = chunks_.peak_bytes();
     stats_json::write(stats_json::resolve_path(opts_.stats_json_path), kName,
-                      snap);
+                      rtapi::snapshot_of(*this));
   }
 
   const Options& options() const { return opts_; }
   unsigned workers() const { return pool_.workers(); }
-  Stats stats() const { return stats_.snapshot(); }
+  Stats stats() const {
+    return chunks_.with_chunk_counts(stats_.snapshot());
+  }
   std::size_t peak_bytes() const { return chunks_.peak_bytes(); }
   std::size_t live_bytes() const { return chunks_.live_bytes(); }
 

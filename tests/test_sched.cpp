@@ -1,11 +1,17 @@
 // Scheduler-layer tests: Chase-Lev deque semantics and torture, the
 // push-vs-park wakeup protocol, oversubscribed pools (threads > cores,
 // the contended-steal regime the 1-core CI box can actually produce),
-// sharded-stats exactness, and the ChunkPool per-thread caches.
+// sharded-stats exactness, and the ChunkPool's size-classed recycling
+// (per-thread caches, steady-state reuse, trim, ASan poisoning).
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "bench_common/workloads.hpp"
 #include "core/deque.hpp"
@@ -308,6 +314,146 @@ PARMEM_TEST(chunkpool_sharded_cache_accounting) {
   CHECK_EQ(pool.live_bytes(), kChunkBytes);
   pool.release(c);
   CHECK_EQ(pool.live_bytes(), 0u);
+  pool.set_budget(0);
+
+  // Starter classes recycle the same way, each class on its own: a
+  // released 4 KiB chunk comes back as the same kChunkBytes-aligned
+  // slot, and never serves an 8 KiB request.
+  Chunk* s4 = pool.acquire(0, kMinChunkBytes);
+  CHECK_EQ(s4->bytes, kMinChunkBytes);
+  CHECK_EQ(reinterpret_cast<std::uintptr_t>(s4) % kChunkBytes, 0u);
+  pool.release(s4);
+  Chunk* s8 = pool.acquire(0, 2 * kMinChunkBytes);
+  CHECK(s8 != s4);
+  CHECK_EQ(s8->bytes, 2 * kMinChunkBytes);
+  Chunk* s4b = pool.acquire(0, kMinChunkBytes);
+  CHECK(s4b == s4);
+  CHECK_EQ(s4b->bytes, kMinChunkBytes);
+  CHECK_EQ(pool.live_bytes(), 3 * kMinChunkBytes);
+  Stats n = pool.with_chunk_counts(Stats{});
+  CHECK_EQ(n.chunks_fresh[0], 1u);
+  CHECK_EQ(n.chunks_recycled[0], 1u);
+  CHECK_EQ(n.chunks_fresh[1], 1u);
+  CHECK_EQ(n.chunks_recycled[1], 0u);
+  CHECK_EQ(n.chunks_fresh[kChunkSizeClasses - 1], 1u);
+  CHECK_EQ(n.chunks_recycled[kChunkSizeClasses - 1], 2u);  // b and c
+
+  // A budget hit on a small-class cache pop throws before the pop:
+  // live bytes and counters unchanged, the chunk still cached.
+  pool.release(s4b);
+  pool.set_budget(pool.live_bytes() + kMinChunkBytes - 1);
+  threw = false;
+  try {
+    (void)pool.acquire(0, kMinChunkBytes);
+  } catch (const OutOfMemory&) {
+    threw = true;
+  }
+  CHECK(threw);
+  CHECK_EQ(pool.live_bytes(), 2 * kMinChunkBytes);
+  CHECK_EQ(pool.with_chunk_counts(Stats{}).chunks_recycled[0], 1u);
+  pool.set_budget(0);
+  CHECK(pool.acquire(0, kMinChunkBytes) == s4);
+  pool.release(s4);
+  pool.release(s8);
+  CHECK_EQ(pool.live_bytes(), 0u);
 }
+
+// Once a fork-heavy kernel has run a few times, every chunk it needs
+// is pooled: further runs carve no fresh slot, so a fork's starter
+// chunk costs a pop, not page faults.
+PARMEM_TEST(chunkpool_steady_fib_carves_no_fresh_slots) {
+  Sizes z;
+  z.fib_n = 27;
+  SeqRuntime seq;
+  const std::int64_t ref = bench_fib(seq, z).checksum;
+  HierRuntime::Options o;
+  o.workers = 1;
+  HierRuntime rt(o);
+  for (int i = 0; i < 3; ++i) {
+    CHECK_EQ(bench_fib(rt, z).checksum, ref);
+  }
+  const Stats warm = rt.stats();
+  for (int i = 0; i < 3; ++i) {
+    CHECK_EQ(bench_fib(rt, z).checksum, ref);
+  }
+  const Stats d = rt.stats() - warm;
+  std::uint64_t fresh = 0;
+  std::uint64_t recycled = 0;
+  for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+    fresh += d.chunks_fresh[k];
+    recycled += d.chunks_recycled[k];
+  }
+  CHECK_EQ(fresh, 0u);
+  CHECK(recycled > 0);
+}
+
+std::size_t resident_pages(const void* addr, std::size_t bytes) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((bytes + page - 1) / page);
+  CHECK_EQ(::mincore(const_cast<void*>(addr), bytes, vec.data()), 0);
+  std::size_t n = 0;
+  for (unsigned char v : vec) {
+    n += v & 1;
+  }
+  return n;
+}
+
+// trim(0) hands every pooled slot's pages back to the OS, whatever its
+// class and whether it sat in a per-thread cache or the shared list,
+// and the trimmed slots stay reusable.
+PARMEM_TEST(chunkpool_trim_returns_pooled_pages) {
+  ChunkPool pool;
+  std::vector<Chunk*> chunks;
+  for (unsigned k = 0; k < kChunkSizeClasses; ++k) {
+    // Enough 4 KiB chunks to spill past the per-thread cache.
+    const int n = k == 0 ? 300 : 6;
+    for (int i = 0; i < n; ++i) {
+      Chunk* c = pool.acquire(0, kMinChunkBytes << k);
+      std::memset(c->data(), 0xab, c->bytes - kChunkHeaderBytes);
+      chunks.push_back(c);
+    }
+  }
+  std::size_t resident = 0;
+  for (Chunk* c : chunks) {
+    resident += resident_pages(c, kChunkBytes);
+  }
+  CHECK(resident > 0);
+  for (Chunk* c : chunks) {
+    pool.release(c);
+  }
+  pool.trim(0);
+  for (Chunk* c : chunks) {
+    CHECK_EQ(resident_pages(c, kChunkBytes), 0u);
+  }
+  // A trimmed slot comes back zero-filled, as a fresh slot.
+  const Stats before = pool.with_chunk_counts(Stats{});
+  Chunk* c = pool.acquire(0, kMinChunkBytes);
+  CHECK_EQ(static_cast<unsigned char>(c->data()[0]), 0u);
+  CHECK_EQ(pool.with_chunk_counts(Stats{}).chunks_fresh[0],
+           before.chunks_fresh[0] + 1);
+  pool.release(c);
+}
+
+#if defined(PARMEM_ASAN)
+// Pooling keeps ASan's use-after-release coverage: a released chunk's
+// payload is poisoned until the pool hands the chunk out again; the
+// header, which carries the free list, stays addressable.
+PARMEM_TEST(chunkpool_asan_poisons_released_payload) {
+  ChunkPool pool;
+  for (std::size_t bytes : {kMinChunkBytes, kChunkBytes}) {
+    Chunk* c = pool.acquire(0, bytes);
+    CHECK(!__asan_address_is_poisoned(c->data()));
+    pool.release(c);
+    CHECK(__asan_address_is_poisoned(c->data()));
+    CHECK(__asan_address_is_poisoned(c->data_limit() - 1));
+    CHECK(!__asan_address_is_poisoned(c));
+    Chunk* again = pool.acquire(0, bytes);
+    CHECK(again == c);
+    CHECK(!__asan_address_is_poisoned(c->data()));
+    CHECK(!__asan_address_is_poisoned(c->data_limit() - 1));
+    pool.release(again);
+  }
+}
+#endif
 
 }  // namespace

@@ -20,6 +20,7 @@
 //     ~zero timed-out wakeups (the old 10 ms backstop woke every
 //     worker ~100x/s forever).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -230,6 +231,45 @@ PARMEM_TEST(serve_soak_hier_reaches_steady_state) {
   std::vector<std::size_t> rss;
   run_soak_waves(rt, 2, &live, &rss);
   check_soak_steady_state(live, rss);
+}
+
+// A task spinning on another task's progress -- the serve harness's
+// start barrier -- must poll a safepoint as it spins (ctx.poll()), or a
+// stop begun meanwhile waits on the spinner forever while the spinner
+// waits on a task the stop holds back. Here branch b spins until branch
+// a is done, and a's allocation slow paths drive stops (GC stress)
+// while b spins.
+PARMEM_TEST(serve_barrier_spinner_polls_through_a_stop) {
+  HierRuntime::Options o;
+  o.workers = 2;
+  o.gc_stress = true;
+  HierRuntime rt(o);
+  std::atomic<bool> spinning{false};
+  std::atomic<bool> done{false};
+  rt.run([&](HierRuntime::Ctx& c) {
+    HierRuntime::fork2(
+        c, {},
+        [&](HierRuntime::Ctx& ca) {
+          while (!spinning.load(std::memory_order_acquire)) {
+            std::this_thread::yield();  // until a thief runs b
+          }
+          // 4 KiB objects: hundreds of slow paths, and GC stress turns
+          // every 32nd into a stop of the world.
+          for (int i = 0; i < 20000; ++i) {
+            (void)ca.alloc(0, 512);
+          }
+          done.store(true, std::memory_order_release);
+          return 0;
+        },
+        [&](HierRuntime::Ctx& cb) {
+          spinning.store(true, std::memory_order_release);
+          while (!done.load(std::memory_order_acquire)) {
+            cb.poll();
+          }
+          return 0;
+        });
+    return 0;
+  });
 }
 
 PARMEM_TEST(serve_soak_localheap_reaches_steady_state) {
