@@ -11,7 +11,8 @@
 // ChunkPool::trim hands pooled pages back with MADV_DONTNEED. Oversized
 // objects get a dedicated, individually mapped multiple-of-256KiB
 // chunk; their start address still lies inside the first aligned
-// block, so the mask trick holds.
+// block, so the mask trick holds, and the leaf collector keeps a live
+// one in place instead of copying it (core/gc_leaf.hpp).
 #pragma once
 
 #include <array>
@@ -75,7 +76,9 @@ struct alignas(kChunkHeaderBytes) Chunk {
   char* obj_end = nullptr;  // end of allocated objects; valid when retired
   std::size_t bytes = 0;    // total footprint including header
   bool oversized = false;
-  bool from_space = false;  // transient mark used by the leaf collector
+  // Transient mark of a chunk being collected. Atomic: another task's
+  // collector may test it on a chunk of a heap it does not own.
+  std::atomic<bool> from_space{false};
 
   char* data() { return reinterpret_cast<char*>(this) + kChunkHeaderBytes; }
   char* data_limit() { return reinterpret_cast<char*>(this) + bytes; }
@@ -222,6 +225,31 @@ class ChunkPool {
         c->next = free_[k];
         free_[k] = c;
       }
+    }
+    live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  }
+
+  // Release a whole chunk list (linked through `next`) at once, as a
+  // collector does with its from-space. Pooled chunks go straight to
+  // the shared lists, under one lock: a collection frees many chunks at
+  // once on one thread, and parked in that thread's cache they would be
+  // out of every other thread's reach, which would then carve fresh
+  // slots while they sit idle.
+  void release_list(Chunk* c) {
+    std::size_t bytes = 0;
+    std::lock_guard<std::mutex> g(mu_);
+    while (c != nullptr) {
+      Chunk* n = c->next;
+      bytes += c->bytes;
+      if (c->oversized) {
+        ::munmap(c, c->bytes);
+      } else {
+        asan_poison(c->data(), c->bytes - kChunkHeaderBytes);
+        const unsigned k = size_class(c->bytes);
+        c->next = free_[k];
+        free_[k] = c;
+      }
+      c = n;
     }
     live_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   }
@@ -631,7 +659,8 @@ class Heap {
     }
   }
 
-  // Detach the whole chunk list (leaf GC flips it to from-space).
+  // Detach the whole chunk list (leaf GC flips it to from-space). The
+  // heap is empty afterwards, survivors included.
   Chunk* detach_chunks() {
     retire_tail();
     Chunk* h = head_;
@@ -639,39 +668,47 @@ class Heap {
     top_ = end_ = nullptr;
     bytes_ = 0;
     allocated_full_ = 0;
+    survived_bytes_ = 0;
     return h;
   }
 
   // Fold `child` into this heap at join: every surviving child object
-  // keeps its address; only the chunk->heap back-pointers change.
+  // keeps its address; only the chunk->heap back-pointers change. The
+  // child's survivors count toward this heap's budget.
   void merge_from(Heap& child) {
     child.retire_tail();
-    Chunk* h = child.head_;
-    if (h == nullptr) {
+    survived_bytes_ += child.survived_bytes_;
+    child.survived_bytes_ = 0;
+    if (child.head_ == nullptr) {
       return;
     }
-    Chunk* last = h;
-    for (Chunk* c = h;; c = c->next) {
-      c->heap.store(this, std::memory_order_relaxed);
-      c->from_space = false;
-      last = c;
-      if (c->next == nullptr) {
-        break;
-      }
-    }
-    // Splice at the head so this heap's tail stays the active bump
-    // chunk; merged chunks are all retired (obj_end valid).
-    last->next = head_;
-    head_ = h;
-    if (tail_ == nullptr) {
-      tail_ = last;
-    }
-    bytes_ += child.bytes_;
-    allocated_full_ += child.allocated_bytes();
+    splice_retired(child.head_, child.bytes_, child.allocated_bytes());
     child.head_ = child.tail_ = nullptr;
     child.top_ = child.end_ = nullptr;
     child.bytes_ = 0;
     child.allocated_full_ = 0;
+  }
+
+  // Link one retired chunk (obj_end valid) back into this heap, as the
+  // leaf collector does with an oversized survivor it keeps in place.
+  void keep_chunk(Chunk* c) {
+    c->next = nullptr;
+    splice_retired(c, c->bytes,
+                   static_cast<std::size_t>(c->obj_end - c->data()));
+  }
+
+  // Bytes that survived this heap's last collection, plus what the
+  // collections of the children merged into it since kept alive.
+  // Written by the owner or by a collector that has the owner stopped.
+  std::size_t survived_bytes() const { return survived_bytes_; }
+  void set_survived_bytes(std::size_t n) { survived_bytes_ = n; }
+
+  // The collection budget of a heap its owner collects alone: its
+  // chunks reached max(min_budget, growth x survived_bytes()).
+  bool over_gc_budget(std::size_t min_budget, double growth) const {
+    const auto scaled = static_cast<std::size_t>(
+        static_cast<double>(survived_bytes_) * growth);
+    return bytes_ >= (scaled > min_budget ? scaled : min_budget);
   }
 
   void release_all_chunks() {
@@ -693,7 +730,7 @@ class Heap {
     std::size_t bytes = 0;
     for (Chunk* c = head; c != nullptr; c = c->next) {
       c->heap.store(this, std::memory_order_relaxed);
-      c->from_space = false;
+      c->from_space.store(false, std::memory_order_relaxed);
       bytes += c->bytes;
     }
     head_ = head;
@@ -741,6 +778,25 @@ class Heap {
     end_ = c->oversized ? c->data() + size : c->data_limit();
   }
 
+  // Splice the retired, null-terminated list at `first` in at the head,
+  // so this heap's tail stays the active bump chunk.
+  void splice_retired(Chunk* first, std::size_t bytes,
+                      std::size_t allocated) {
+    Chunk* last = first;
+    for (Chunk* c = first; c != nullptr; c = c->next) {
+      c->heap.store(this, std::memory_order_relaxed);
+      c->from_space.store(false, std::memory_order_relaxed);
+      last = c;
+    }
+    last->next = head_;
+    head_ = first;
+    if (tail_ == nullptr) {
+      tail_ = last;
+    }
+    bytes_ += bytes;
+    allocated_full_ += allocated;
+  }
+
   char* overflow_raw(std::size_t size) {
     open_new_chunk(size);
     char* p = top_;
@@ -766,6 +822,7 @@ class Heap {
   std::size_t next_chunk_bytes_ = kMinChunkBytes;  // doubles to kChunkBytes
   std::size_t bytes_ = 0;           // chunk footprint owned by this heap
   std::size_t allocated_full_ = 0;  // object bytes in retired chunks
+  std::size_t survived_bytes_ = 0;  // see survived_bytes()
 
   // Remote group: written by OTHER workers promoting into this heap
   // (remote_bytes_ under the promotion protocol, the locks by the

@@ -57,9 +57,18 @@ class HierRuntime {
   struct Options {
     unsigned workers = 0;  // 0 = one per hardware thread
     PromotionMode promotion = PromotionMode::kCoarseLocking;
-    std::size_t gc_min_budget = std::size_t{4} << 20;  // leaf bytes before GC
-    std::size_t gc_join_threshold = 0;  // 0 = no collection at joins
-    double gc_growth_factor = 8.0;      // budget = max(min, factor * live)
+    // Collection budget of a heap its owner collects alone: it is
+    // collected once its chunk bytes reach
+    //   max(gc_min_budget, gc_growth_factor * survived bytes),
+    // where the survivors are those of its own last collection plus
+    // those of every child heap merged into it since. The budget is
+    // checked on the allocation slow path and, unless a stopped-world
+    // join collection is configured, at every fork2 join.
+    std::size_t gc_min_budget = std::size_t{4} << 20;  // heap bytes before GC
+    // Stopped-world collection of the merged heap at joins once it holds
+    // this many object bytes; 0 = no stopped-world join collection.
+    std::size_t gc_join_threshold = 0;
+    double gc_growth_factor = 8.0;  // see gc_min_budget
     // Team size for join-time subtree collections (core/gc_parallel.hpp);
     // 0 or 1 keeps them sequential. Only the quiesced just-merged
     // subtree is evacuated, so the team runs concurrently with every
@@ -139,14 +148,19 @@ class HierRuntime {
     }
 
     // Mutable accessors: one forwarding-word check finds the master
-    // copy (a promoted object's writes all land there).
-    static std::int64_t read_i64_mut(Object* o, std::uint32_t i) {
+    // copy (a promoted object's writes all land there). Forced inline:
+    // the compiler's unit-growth limits otherwise leave them as calls
+    // inside a kernel's hottest loop, depending on unrelated code.
+    [[gnu::always_inline]] static std::int64_t read_i64_mut(Object* o,
+                                                           std::uint32_t i) {
       return Object::chase(o)->scalar(i);
     }
-    static void write_i64(Object* o, std::uint32_t i, std::int64_t v) {
+    [[gnu::always_inline]] static void write_i64(Object* o, std::uint32_t i,
+                                                 std::int64_t v) {
       Object::chase(o)->set_scalar(i, v);
     }
-    static Object* read_ptr(Object* o, std::uint32_t i) {
+    [[gnu::always_inline]] static Object* read_ptr(Object* o,
+                                                  std::uint32_t i) {
       return Object::chase(o)->ptr(i);
     }
 
@@ -179,10 +193,10 @@ class HierRuntime {
       }
     }
 
-    // Force a leaf collection now (also used at joins when
-    // gc_join_threshold is set). A no-op on an empty heap: no stats
-    // churn, no budget rescale, and the chunk-doubling schedule keeps
-    // whatever step it had reached.
+    // Force a leaf collection now (fork2 also runs one at a join that
+    // leaves the merged heap over budget). A no-op on an empty heap: no
+    // stats churn, no change to the budget, and the chunk-doubling
+    // schedule keeps whatever step it had reached.
     //
     // Roots are this task's own frames PLUS every ancestor's: an
     // ancestor Local CAN be the only reference into this heap (a
@@ -201,21 +215,13 @@ class HierRuntime {
     // collector's conditional rewrite (only slots pointing into this
     // heap's from-space) never races a concurrent store.
     void collect_now() {
-      if (heap_->chunks() == nullptr) {
-        return;
-      }
-      std::size_t live = leaf_gc_collect(heap_, &rt_->stats_.local(),
-                                         [this](auto&& fn) {
-                                           for (Ctx* c = this; c != nullptr;
-                                                c = c->parent_) {
-                                             for (RootFrame* f = c->frames_;
-                                                  f != nullptr;
-                                                  f = f->prev()) {
-                                               f->for_each_slot(fn);
-                                             }
-                                           }
-                                         });
-      rescale_budget(live);
+      leaf_gc_collect(heap_, &rt_->stats_.local(), [this](auto&& fn) {
+        for (Ctx* c = this; c != nullptr; c = c->parent_) {
+          for (RootFrame* f = c->frames_; f != nullptr; f = f->prev()) {
+            f->for_each_slot(fn);
+          }
+        }
+      });
     }
 
     // Force a hierarchy-aware internal collection cycle from this
@@ -232,34 +238,6 @@ class HierRuntime {
         return;
       }
       rt_->drive_internal_gc(/*forced=*/true);
-    }
-
-    // Team evacuation of this task's (quiesced) heap -- the join-time
-    // path when Options::gc_parallel_team > 1. Same roots and same
-    // survivors as collect_now(), just copied by `team` workers.
-    void parallel_collect_now(unsigned team) {
-      const std::uint64_t trace_t0 = trace::now_ns();
-      core::ParallelCollector pc(rt_->chunks_, std::vector<Heap*>{heap_},
-                                 core::ParallelGcOptions{team, 128});
-      core::ParallelGcOutcome out = pc.collect([this](auto&& fn) {
-        for (RootFrame* f = frames_; f != nullptr; f = f->prev()) {
-          f->for_each_slot(fn);
-        }
-      });
-      // Bills gc_count directly (no leaf_gc_collect underneath), so it
-      // records its own pause event; dur is the pause wall time, not
-      // the team's summed busy time.
-      trace::record_gc_pause(trace::Ev::kGcLeaf, trace_t0, out.wall_ns,
-                             out.totals.bytes_copied);
-      rt_->stats_.local().gc_count.fetch_add(1, std::memory_order_relaxed);
-      rt_->stats_.local().gc_bytes_copied.fetch_add(out.totals.bytes_copied,
-                                            std::memory_order_relaxed);
-      // gc_ns aggregates per-worker busy time, like concurrent leaf
-      // collections do (NOT wall * team: spawn/join overhead and the
-      // other workers' lifetimes are not this team's copy work).
-      rt_->stats_.local().gc_ns.fetch_add(out.totals.busy_ns,
-                                  std::memory_order_relaxed);
-      rescale_budget(out.totals.bytes_copied);
     }
 
     HierRuntime& runtime() { return *rt_; }
@@ -288,8 +266,7 @@ class HierRuntime {
         : rt_(rt),
           heap_(heap),
           parent_(parent),
-          mode_(rt->opts_.promotion),
-          gc_budget_(rt->opts_.gc_min_budget) {
+          mode_(rt->opts_.promotion) {
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
         rt_->register_ctx(this);
       }
@@ -311,7 +288,7 @@ class HierRuntime {
           collect_now();  // stress: leaf collection at every safepoint
         }
       }
-      if (heap_->chunk_bytes() >= gc_budget_) {
+      if (over_budget()) {
         collect_now();
       }
       Object* o;
@@ -347,12 +324,9 @@ class HierRuntime {
                               live_before);
     }
 
-    void rescale_budget(std::size_t live) {
-      auto scaled = static_cast<std::size_t>(
-          static_cast<double>(live) * rt_->opts_.gc_growth_factor);
-      gc_budget_ = scaled > rt_->opts_.gc_min_budget
-                       ? scaled
-                       : rt_->opts_.gc_min_budget;
+    bool over_budget() const {
+      return heap_->over_gc_budget(rt_->opts_.gc_min_budget,
+                                   rt_->opts_.gc_growth_factor);
     }
 
     void distant_write_ptr(Object* o, std::uint32_t idx, Object* v) {
@@ -392,7 +366,6 @@ class HierRuntime {
     // is stable; collect_now roots from every frame chain along it.
     Ctx* parent_ = nullptr;
     PromotionMode mode_;
-    std::size_t gc_budget_;
     RootFrame* frames_ = nullptr;
     // Intrusive per-worker registry links, guarded by the home slot's
     // ctx_lock. Deliberately NOT default-initialised: they are written
@@ -534,20 +507,25 @@ class HierRuntime {
 
     parent->merge_from(heap_a);
     parent->merge_from(heap_b);
-    if ((rt->opts_.gc_join_threshold != 0 &&
-         parent->allocated_bytes() >= rt->opts_.gc_join_threshold) ||
-        __builtin_expect(rt->opts_.gc_stress, 0)) {
-      // Join-time subtree collection: the two-sibling subtree just
-      // merged into `parent` is quiesced (both branches joined), so it
-      // can be evacuated here -- by a team when gc_parallel_team asks
-      // for one (stopped_collect_heap applies it). GC-stress forces it
-      // at every join. Both trigger conditions imply sp_enabled_ (see
-      // the constructor), so the collection always stops the world and
-      // roots from EVERY task's frames: results published into
-      // arbitrary ancestor Locals survive the merge, which the
-      // single-frame collect_now path used to drop.
-      assert(sp && "join collection without the safepoint machinery");
-      rt->stopped_join_collect(&ctx);
+    const Options& o = rt->opts_;
+    if (__builtin_expect(o.gc_join_threshold != 0 || o.gc_stress, 0)) {
+      if (o.gc_stress || parent->allocated_bytes() >= o.gc_join_threshold) {
+        // Join-time subtree collection: the two-sibling subtree just
+        // merged into `parent` is quiesced (both branches joined), so
+        // it can be evacuated here -- by a team when gc_parallel_team
+        // asks for one (stopped_collect_heap applies it). GC-stress
+        // forces it at every join. Both trigger conditions imply
+        // sp_enabled_ (see the constructor), so the collection always
+        // stops the world and roots from EVERY task's frames.
+        assert(sp && "join collection without the safepoint machinery");
+        rt->stopped_join_collect(&ctx);
+      }
+    } else if (ctx.over_budget()) {
+      // The merged heap is a leaf again, and its owner collects it
+      // alone, as on the allocation slow path: fork2 is a point where
+      // no raw Object* may be held, and the branches' results sit in
+      // the result channels' Locals, so they are rewritten if moved.
+      join_collect(ctx);
     }
 
     if (err_a) {
@@ -654,6 +632,13 @@ class HierRuntime {
   // deactivates.
   __attribute__((noinline)) void fork_exit_reactivate() {
     gate_.activate(pool_.current_index());
+  }
+
+  // Over-budget join without a stopped join collection: a leaf
+  // collection of the merged heap, billed as a join pause.
+  __attribute__((noinline)) static void join_collect(Ctx& ctx) {
+    phase::PhaseScope gc_scope(phase::Phase::kJoinGc);
+    ctx.collect_now();
   }
 
   // Promotion-path doorbell (the promoter may hold raw pointers, so
@@ -780,10 +765,10 @@ class HierRuntime {
   // task's frames plus descendant fields/forwarding words, with the
   // sequential or team evacuator per gc_parallel_team. `bill_internal`
   // adds the internal_gc_* pair on top of the ordinary gc_* counters.
-  // Returns live bytes evacuated.
-  std::size_t stopped_collect_heap(Heap* h, const std::vector<Ctx*>& ctxs,
-                                   const std::vector<Heap*>& heaps,
-                                   bool bill_internal) {
+  // Either way the heap's survivors are recorded on it.
+  void stopped_collect_heap(Heap* h, const std::vector<Ctx*>& ctxs,
+                            const std::vector<Heap*>& heaps,
+                            bool bill_internal) {
     auto frame_roots = [&ctxs](auto&& fn) {
       for (Ctx* c : ctxs) {
         for (RootFrame* f = c->frames_; f != nullptr; f = f->prev()) {
@@ -791,12 +776,12 @@ class HierRuntime {
         }
       }
     };
-    std::size_t live;
     if (opts_.gc_parallel_team > 1) {
       const std::uint64_t trace_t0 = trace::now_ns();
       core::ParallelGcOutcome out = internal_gc_collect_parallel(
           chunks_, h, heaps, opts_.gc_parallel_team, frame_roots);
-      live = out.totals.bytes_copied;
+      const std::size_t live = out.totals.bytes_copied;
+      h->set_survived_bytes(live);
       // This branch bills gc_count directly, so it records its own
       // pause; the kind follows the driver's phase (join / internal /
       // emergency-as-leaf), like leaf_gc_collect does.
@@ -810,13 +795,12 @@ class HierRuntime {
         stats_.local().internal_gc_bytes.fetch_add(live, std::memory_order_relaxed);
       }
     } else if (bill_internal) {
-      live = internal_gc_collect(h, heaps, &stats_.local(), frame_roots);
+      internal_gc_collect(h, heaps, &stats_.local(), frame_roots);
     } else {
-      live = leaf_gc_collect(h, &stats_.local(), [&](auto&& fn) {
+      leaf_gc_collect(h, &stats_.local(), [&](auto&& fn) {
         detail::internal_gc_emit_roots(h, heaps, frame_roots, fn);
       });
     }
-    return live;
   }
 
   // Join-time collection of `me`'s just-merged heap on a stopped
@@ -837,8 +821,7 @@ class HierRuntime {
     std::vector<Heap*> heaps;
     snapshot_registry(&ctxs, &heaps);
     try {
-      me->rescale_budget(stopped_collect_heap(me->heap_, ctxs, heaps,
-                                              /*bill_internal=*/false));
+      stopped_collect_heap(me->heap_, ctxs, heaps, /*bill_internal=*/false);
     } catch (...) {
       gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
       throw;

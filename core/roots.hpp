@@ -21,16 +21,17 @@ class RootFrame;
 class Local {
  public:
   Local() = default;
-  // Slot accesses are relaxed atomics: under the local-heap runtime a
-  // branch on one worker publishes into a parent slot while the
-  // parent's worker may concurrently scan the same frame chain for its
-  // leaf GC. Ordering comes from the fork2 join (done-flag acquire),
-  // not from the slot itself.
+  // Slot accesses are atomic: a branch on one worker publishes into an
+  // ancestor's slot while another worker's leaf GC may scan the same
+  // frame chain. The mutator's ordering comes from the fork2 join
+  // (done-flag acquire), not from the slot; the store releases so that
+  // a collector's acquire load of the slot also sees the header of the
+  // chunk the published object sits in.
   Object* get() const {
     return std::atomic_ref<Object*>(*slot_).load(std::memory_order_relaxed);
   }
   void set(Object* p) const {
-    std::atomic_ref<Object*>(*slot_).store(p, std::memory_order_relaxed);
+    std::atomic_ref<Object*>(*slot_).store(p, std::memory_order_release);
   }
   Object** slot() const { return slot_; }
 

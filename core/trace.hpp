@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -105,36 +106,40 @@ struct Event {
 // overwrites the oldest entry and the drop counter is total - cap.
 // Single-writer (the owning worker); readers take the owning slot's
 // lock (below) or run after the writer quiesced. Standalone so the
-// overflow policy is unit-testable without a runtime.
+// overflow policy is unit-testable without a runtime. The buffer is
+// allocated on the first push, so a ring that never records costs no
+// memory.
 class TraceRing {
  public:
-  explicit TraceRing(std::size_t cap) : buf_(cap) {}
+  explicit TraceRing(std::size_t cap) : cap_(cap) {}
 
   void push(const Event& e) {
-    buf_[static_cast<std::size_t>(n_ % buf_.size())] = e;
+    if (buf_.empty()) {
+      buf_.resize(cap_);
+    }
+    buf_[static_cast<std::size_t>(n_ % cap_)] = e;
     ++n_;
   }
 
   std::uint64_t total() const { return n_; }
-  std::uint64_t dropped() const {
-    return n_ > buf_.size() ? n_ - buf_.size() : 0;
-  }
+  std::uint64_t dropped() const { return n_ > cap_ ? n_ - cap_ : 0; }
   std::size_t size() const {
-    return n_ < buf_.size() ? static_cast<std::size_t>(n_) : buf_.size();
+    return n_ < cap_ ? static_cast<std::size_t>(n_) : cap_;
   }
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return cap_; }
 
   template <class Fn>
   void for_each_oldest_first(Fn&& fn) const {
     const std::uint64_t lo = n_ - size();
     for (std::uint64_t i = lo; i < n_; ++i) {
-      fn(buf_[static_cast<std::size_t>(i % buf_.size())]);
+      fn(buf_[static_cast<std::size_t>(i % cap_)]);
     }
   }
 
   void clear() { n_ = 0; }
 
  private:
+  std::size_t cap_;
   std::vector<Event> buf_;
   std::uint64_t n_ = 0;
 };
@@ -165,12 +170,15 @@ struct LockGuard {
 constexpr std::size_t kRingCap = 4096;
 
 // One per worker slot (same slot space as core/phase.hpp), allocated
-// lazily on the slot's first recorded event. The last-event summary is
-// lock-free atomics so the watchdog's signal handler can read it.
+// lazily on the slot's first recorded event, and so is each kind's
+// histogram (about 8 KiB) on its first event: a worker that records
+// one kind of pause keeps one histogram resident, not one per kind.
+// The last-event summary is lock-free atomics so the watchdog's signal
+// handler can read it.
 struct Slot {
   TinyLock mu;
   TraceRing ring{kRingCap};
-  Histogram hist[kKinds];
+  std::unique_ptr<Histogram> hist[kKinds];
   std::atomic<std::uint8_t> last_kind{0xff};  // 0xff = none yet
   std::atomic<std::uint64_t> last_start_ns{0};
   std::atomic<std::uint64_t> last_dur_ns{0};
@@ -232,7 +240,11 @@ inline void record(Ev kind, std::uint64_t start_ns, std::uint64_t dur_ns,
   s.last_start_ns.store(start_ns, std::memory_order_relaxed);
   s.last_dur_ns.store(dur_ns, std::memory_order_relaxed);
   detail::LockGuard g(s.mu);
-  s.hist[static_cast<unsigned>(kind)].record(dur_ns);
+  std::unique_ptr<Histogram>& h = s.hist[static_cast<unsigned>(kind)];
+  if (h == nullptr) {
+    h = std::make_unique<Histogram>();
+  }
+  h->record(dur_ns);
   if (ring_enabled()) {
     s.ring.push(Event{start_ns, dur_ns, arg, kind});
   }
@@ -287,7 +299,9 @@ inline Snapshot snapshot() {
     }
     detail::LockGuard g(s->mu);
     for (unsigned k = 0; k < kKinds; ++k) {
-      out.by_kind[k].merge(s->hist[k]);
+      if (s->hist[k] != nullptr) {
+        out.by_kind[k].merge(*s->hist[k]);
+      }
     }
     out.ring_events += s->ring.size();
     out.ring_dropped += s->ring.dropped();
@@ -305,8 +319,8 @@ inline void reset() {
       continue;
     }
     detail::LockGuard g(s->mu);
-    for (unsigned k = 0; k < kKinds; ++k) {
-      s->hist[k].reset();
+    for (std::unique_ptr<Histogram>& h : s->hist) {
+      h.reset();
     }
     s->ring.clear();
     s->last_kind.store(0xff, std::memory_order_relaxed);

@@ -103,9 +103,10 @@ BranchResult<Fn, Ctx> invoke_branch(Fn& fn, Ctx& c) {
 // Rooted branch-result carrier. A branch returning a raw Object* used
 // to park it in an unregistered stack slot from branch completion
 // until the parent consumed it after the join -- any collection inside
-// that window (a GC-stress join cycle, a helping joiner's leaf
-// collection, a stopped-world pause) could relocate the object and
-// leave the return value stale. The channel closes the hole:
+// that window (a join collection of the over-budget merged heap, a
+// helping joiner's leaf collection, a stopped-world pause) could
+// relocate the object and leave the return value stale. The channel
+// closes the hole:
 //
 //   * construction registers ONE Local in the PARENT's frame chain,
 //     on the parent's thread, before the branch can possibly run;

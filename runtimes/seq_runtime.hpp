@@ -92,18 +92,11 @@ class SeqRuntime {
     void poll() {}  // one task, so nothing ever waits on it
 
     void collect_now() {
-      std::size_t live = leaf_gc_collect(heap_, &rt_->stats_.local(),
-                                         [this](auto&& fn) {
-                                           for (RootFrame* f = frames_;
-                                                f != nullptr; f = f->prev()) {
-                                             f->for_each_slot(fn);
-                                           }
-                                         });
-      auto scaled = static_cast<std::size_t>(
-          static_cast<double>(live) * rt_->opts_.gc_growth_factor);
-      gc_budget_ = scaled > rt_->opts_.gc_min_budget
-                       ? scaled
-                       : rt_->opts_.gc_min_budget;
+      leaf_gc_collect(heap_, &rt_->stats_.local(), [this](auto&& fn) {
+        for (RootFrame* f = frames_; f != nullptr; f = f->prev()) {
+          f->for_each_slot(fn);
+        }
+      });
     }
 
     SeqRuntime& runtime() { return *rt_; }
@@ -117,11 +110,11 @@ class SeqRuntime {
    private:
     friend class SeqRuntime;
 
-    Ctx(SeqRuntime* rt, Heap* heap)
-        : rt_(rt), heap_(heap), gc_budget_(rt->opts_.gc_min_budget) {}
+    Ctx(SeqRuntime* rt, Heap* heap) : rt_(rt), heap_(heap) {}
 
     Object* alloc_slow(std::uint32_t nptr, std::uint32_t nscalar) {
-      if (heap_->chunk_bytes() >= gc_budget_) {
+      if (heap_->over_gc_budget(rt_->opts_.gc_min_budget,
+                                rt_->opts_.gc_growth_factor)) {
         collect_now();
       }
       Object* o;
@@ -141,7 +134,6 @@ class SeqRuntime {
 
     SeqRuntime* rt_;
     Heap* heap_;
-    std::size_t gc_budget_;
     RootFrame* frames_ = nullptr;
   };
 

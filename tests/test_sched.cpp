@@ -387,6 +387,33 @@ PARMEM_TEST(chunkpool_steady_fib_carves_no_fresh_slots) {
   CHECK(recycled > 0);
 }
 
+// A collector frees its whole from-space at once with release_list.
+// Those chunks go to the shared lists, not the collecting thread's
+// cache, so another thread's next acquire of the class reuses one of
+// them instead of carving a fresh slot.
+PARMEM_TEST(chunkpool_collector_release_reaches_other_threads) {
+  ChunkPool pool;
+  Chunk* list = nullptr;
+  std::vector<Chunk*> freed;
+  for (int i = 0; i < 3; ++i) {
+    Chunk* c = pool.acquire(0, kMinChunkBytes);
+    c->next = list;
+    list = c;
+    freed.push_back(c);
+  }
+  pool.release_list(list);
+  CHECK_EQ(pool.live_bytes(), 0u);
+  Chunk* got = nullptr;
+  std::thread other([&] { got = pool.acquire(0, kMinChunkBytes); });
+  other.join();
+  CHECK(got == freed[0] || got == freed[1] || got == freed[2]);
+  Stats n = pool.with_chunk_counts(Stats{});
+  CHECK_EQ(n.chunks_fresh[0], 3u);
+  CHECK_EQ(n.chunks_recycled[0], 1u);
+  pool.release(got);
+  CHECK_EQ(pool.live_bytes(), 0u);
+}
+
 std::size_t resident_pages(const void* addr, std::size_t bytes) {
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   std::vector<unsigned char> vec((bytes + page - 1) / page);
