@@ -63,14 +63,12 @@ LhRuntime make_runtime<LhRuntime>(unsigned procs) {
   // MB promoted. Without it the sink grows for the whole burst and the
   // steady-state RSS row measures the leak, not the runtime (the
   // localheap row used to sit near 45x its live set here). Resolved
-  // from PARMEM_GC_GLOBAL_THRESHOLD when set (the runtime itself only
-  // consults the env while the option is 0), so run_bench.sh's
-  // global_gc section can sweep it -- "0" restores the pure sink.
-  const char* thr_env = std::getenv("PARMEM_GC_GLOBAL_THRESHOLD");
-  o.gc_global_threshold =
-      thr_env != nullptr && thr_env[0] != '\0'
-          ? static_cast<std::size_t>(std::strtoull(thr_env, nullptr, 10))
-          : std::size_t{1} << 20;
+  // from PARMEM_GC_GLOBAL_THRESHOLD (bytes, optional K/M/G suffix) when
+  // set (the runtime itself only consults the env while the option is
+  // 0), so run_bench.sh's global_gc section can sweep it -- "0"
+  // restores the pure sink.
+  o.gc_global_threshold = std::size_t{1} << 20;
+  env::size_env("PARMEM_GC_GLOBAL_THRESHOLD", &o.gc_global_threshold);
   return LhRuntime(o);
 }
 

@@ -1,7 +1,7 @@
 // Bounded-memory support: the typed allocation-failure exception, the
 // deterministic allocation-fault-injection registry, and validated
-// parsing of the PARMEM_HEAP_BUDGET / PARMEM_FAILPOINTS environment
-// variables.
+// parsing of the runtimes' environment knobs (PARMEM_HEAP_BUDGET,
+// PARMEM_FAILPOINTS, the GC thresholds, PARMEM_GC_STRESS).
 //
 // Failpoints are named allocation sites (chunk_alloc, packet_alloc,
 // promote_copy) that can be armed with a trigger spec:
@@ -400,25 +400,42 @@ inline bool parse_size_spec(const char* s, std::size_t* out) {
   return true;
 }
 
-// PARMEM_HEAP_BUDGET, validated once per process: 0/unset = unlimited;
-// malformed = one-line diagnosis + exit (never a silent fallback).
+// A byte-size knob from the environment: false when unset or empty
+// (*out untouched); malformed = one-line diagnosis + exit (never a
+// silent fallback).
+inline bool size_env(const char* name, std::size_t* out) {
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') {
+    return false;
+  }
+  if (!parse_size_spec(v, out)) {
+    std::fprintf(stderr,
+                 "parmem: malformed %s='%s' (want bytes with optional K/M/G "
+                 "suffix, e.g. 768M)\n",
+                 name, v);
+    std::exit(2);
+  }
+  return true;
+}
+
+// PARMEM_HEAP_BUDGET, validated once per process: 0/unset = unlimited.
 inline std::size_t heap_budget_env() {
   static const std::size_t budget = [] {
-    const char* v = std::getenv("PARMEM_HEAP_BUDGET");
-    if (v == nullptr || *v == '\0') {
-      return std::size_t{0};
-    }
     std::size_t b = 0;
-    if (!parse_size_spec(v, &b)) {
-      std::fprintf(stderr,
-                   "parmem: malformed PARMEM_HEAP_BUDGET='%s' (want bytes "
-                   "with optional K/M/G suffix, e.g. 768M)\n",
-                   v);
-      std::exit(2);
-    }
+    size_env("PARMEM_HEAP_BUDGET", &b);
     return b;
   }();
   return budget;
+}
+
+// PARMEM_GC_STRESS, read once per process: set, non-empty and not "0"
+// forces GC-stress mode on every runtime that has one.
+inline bool gc_stress_env() {
+  static const bool on = [] {
+    const char* v = std::getenv("PARMEM_GC_STRESS");
+    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
+  }();
+  return on;
 }
 
 // PARMEM_FAILPOINTS, installed once per process at first runtime

@@ -40,11 +40,9 @@
 #include <cassert>
 #include <vector>
 
-#include "core/gc_leaf.hpp"
 #include "core/gc_parallel.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
-#include "core/stats.hpp"
 
 namespace parmem {
 
@@ -96,27 +94,13 @@ void internal_gc_emit_roots(Heap* target, const std::vector<Heap*>& all_heaps,
 
 }  // namespace detail
 
-// Sequential hierarchy-aware collection of `target`. Caller guarantees
-// the stopped-world precondition: target's owner is parked, blocked in
-// fork2, or is the caller itself at a safepoint, and so is every other
-// task of the runtime. Returns live bytes evacuated. Bills gc_count /
-// gc_bytes_copied / gc_ns through the shared leaf collector AND the
-// internal_gc_* pair.
-template <class FrameRoots>
-std::size_t internal_gc_collect(Heap* target,
-                                const std::vector<Heap*>& all_heaps,
-                                StatsCell* stats, FrameRoots&& frame_roots) {
-  std::size_t live = leaf_gc_collect(target, stats, [&](auto&& fn) {
-    detail::internal_gc_emit_roots(target, all_heaps, frame_roots, fn);
-  });
-  stats->internal_gc_count.fetch_add(1, std::memory_order_relaxed);
-  stats->internal_gc_bytes.fetch_add(live, std::memory_order_relaxed);
-  return live;
-}
-
-// Team variant: same roots, same survivors, copied by `team` workers
-// (core/gc_parallel.hpp spawns them per collection). Caller bills the
-// runtime stats from the outcome.
+// Team collection of `target` against internal_gc_emit_roots, copied by
+// `team` workers (core/gc_parallel.hpp spawns them per collection); the
+// sequential form is leaf_gc_collect with the same roots. Caller
+// guarantees the stopped-world precondition -- target's owner is
+// parked, blocked in fork2, or is the caller itself at a safepoint, and
+// so is every other task of the runtime -- and bills the runtime stats
+// from the outcome.
 template <class FrameRoots>
 core::ParallelGcOutcome internal_gc_collect_parallel(
     ChunkPool& pool, Heap* target, const std::vector<Heap*>& all_heaps,

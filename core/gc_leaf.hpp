@@ -21,7 +21,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -33,6 +33,19 @@
 #include "core/trace.hpp"
 
 namespace parmem {
+
+// One collection's record: the gc_* counters and its pause event are
+// written together, so the pause histograms always sum to gc_count.
+// `wall_ns` is the pause; `gc_ns` is the GC time it bills (the pause,
+// a team's summed busy time, or stw's pause x stopped workers).
+inline void record_collection(StatsCell* stats, trace::Ev kind,
+                              std::uint64_t t0, std::uint64_t wall_ns,
+                              std::size_t copied, std::uint64_t gc_ns) {
+  stats->gc_count.fetch_add(1, std::memory_order_relaxed);
+  stats->gc_bytes_copied.fetch_add(copied, std::memory_order_relaxed);
+  stats->gc_ns.fetch_add(gc_ns, std::memory_order_relaxed);
+  trace::record_gc_pause(kind, t0, wall_ns, copied);
+}
 
 // `root_iter(fn)` must invoke fn(Object** slot) for every live root
 // slot of the owning task. Returns the bytes copied (oversized objects
@@ -47,11 +60,9 @@ std::size_t leaf_gc_collect(Heap* heap, StatsCell* stats,
     // at every safepoint, which hits this case constantly.
     return 0;
   }
-  auto t0 = std::chrono::steady_clock::now();
-  // This call bills gc_count exactly once below, so it records exactly
-  // one pause event; the KIND comes from the ambient phase -- a leaf
-  // scan driven by a join/internal collection IS that pause's copy
-  // step. The scope only retags to leaf-GC when not already inside a
+  // The pause KIND comes from the ambient phase -- a leaf scan driven
+  // by a join/internal/global collection IS that pause's copy step.
+  // The scope only retags to leaf-GC when not already inside a
   // collection phase (keeps profiler samples attributed to the
   // enclosing pause).
   const phase::Phase ambient = phase::current();
@@ -176,14 +187,8 @@ std::size_t leaf_gc_collect(Heap* heap, StatsCell* stats,
   // re-copied, the rest died with from-space.
   heap->reset_remote_bytes();
 
-  auto t1 = std::chrono::steady_clock::now();
-  stats->gc_count.fetch_add(1, std::memory_order_relaxed);
-  stats->gc_bytes_copied.fetch_add(copied, std::memory_order_relaxed);
-  stats->gc_ns.fetch_add(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count(),
-      std::memory_order_relaxed);
-  trace::record_gc_pause(pause_kind, trace_t0, trace::now_ns() - trace_t0,
-                         copied);
+  const std::uint64_t wall = trace::now_ns() - trace_t0;
+  record_collection(stats, pause_kind, trace_t0, wall, copied, wall);
   return copied;
 }
 

@@ -26,9 +26,10 @@
 //
 // collect() is the one-call surface (it spawns its own team threads).
 // The split prepare()/run_worker()/finish() surface lets a runtime
-// supply an existing team instead -- StwRuntime recruits its parked
-// mutators as workers, so a stop-the-world pause puts every stopped
-// mutator to work.
+// supply an existing team instead: collect_with_parked_team (below)
+// recruits the mutators parked at a SafepointGate, so a stop-the-world
+// pause puts every stopped mutator to work (stw's collections and
+// localheap's global collection).
 #pragma once
 
 #include <atomic>
@@ -50,6 +51,7 @@
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
+#include "core/sched.hpp"
 
 namespace parmem {
 
@@ -578,10 +580,9 @@ class ParallelCollector {
   }
 
   void release_from_space() {
-    while (from_ != nullptr) {
-      Chunk* n = from_->next;
-      pool_->release(from_);
-      from_ = n;
+    if (from_ != nullptr) {
+      pool_->release_list(from_);
+      from_ = nullptr;
     }
   }
 
@@ -602,6 +603,32 @@ class ParallelCollector {
   std::vector<void*> packet_mem_;
   std::chrono::steady_clock::time_point t0_;
 };
+
+// Evacuate `target` on a world the caller stopped through `gate`, with
+// a team of `team`: the caller runs slot 0 and parked mutators claim
+// slots [1, team) through SafepointGate::offer_team. The offer is
+// retracted on every exit, after finish() has waited for every recruit
+// (finish() rethrows a team abort).
+template <class RootIter>
+ParallelGcOutcome collect_with_parked_team(SafepointGate& gate,
+                                           ChunkPool& pool, Heap* target,
+                                           unsigned team,
+                                           RootIter&& root_iter) {
+  ParallelCollector pc(pool, std::vector<Heap*>{target},
+                       ParallelGcOptions{team, 128});
+  pc.prepare(root_iter);
+  struct Retract {
+    SafepointGate& gate;
+    ~Retract() { gate.retract_team(); }
+  } retract{gate};
+  gate.offer_team(
+      [](void* c, unsigned slot) {
+        static_cast<ParallelCollector*>(c)->run_worker(slot);
+      },
+      &pc, 1, team);
+  pc.run_worker(0);
+  return pc.finish();
+}
 
 }  // namespace core
 }  // namespace parmem

@@ -711,12 +711,13 @@ class Heap {
     return bytes_ >= (scaled > min_budget ? scaled : min_budget);
   }
 
+  // To the pool's shared lists, like a collector's from-space: a heap
+  // dropped on one thread (a run's root heap) must stay reusable by
+  // every thread. Every fork2 child is destroyed empty, so that case
+  // returns before the pool lock.
   void release_all_chunks() {
-    Chunk* c = detach_chunks();
-    while (c != nullptr) {
-      Chunk* n = c->next;
-      pool_->release(c);
-      c = n;
+    if (Chunk* c = detach_chunks()) {
+      pool_->release_list(c);
     }
   }
 

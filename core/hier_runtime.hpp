@@ -21,7 +21,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <initializer_list>
 #include <mutex>
@@ -39,7 +38,6 @@
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
-#include "core/profiler.hpp"
 #include "core/promote.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
@@ -230,14 +228,9 @@ class HierRuntime {
     // heap holding promoted-into bytes, however busy its owner. A
     // no-op unless internal collection or GC-stress is enabled.
     void collect_internal_now() {
-      if (!rt_->sp_enabled_) {
-        return;
+      if (rt_->sp_enabled_) {
+        rt_->drive_internal_gc(/*forced=*/true);
       }
-      if (rt_->gate_.pending()) {
-        rt_->gate_.park();
-        return;
-      }
-      rt_->drive_internal_gc(/*forced=*/true);
     }
 
     HierRuntime& runtime() { return *rt_; }
@@ -261,6 +254,7 @@ class HierRuntime {
 
    private:
     friend class HierRuntime;
+    friend class CtxRegistry<Ctx>;
 
     Ctx(HierRuntime* rt, Heap* heap, Ctx* parent = nullptr)
         : rt_(rt),
@@ -268,13 +262,13 @@ class HierRuntime {
           parent_(parent),
           mode_(rt->opts_.promotion) {
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->register_ctx(this);
+        rt_->registry_.add(this, rt_->pool_.current_index());
       }
     }
 
     ~Ctx() {
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->deregister_ctx(this);
+        rt_->registry_.remove(this);
       }
     }
 
@@ -367,13 +361,10 @@ class HierRuntime {
     Ctx* parent_ = nullptr;
     PromotionMode mode_;
     RootFrame* frames_ = nullptr;
-    // Intrusive per-worker registry links, guarded by the home slot's
-    // ctx_lock. Deliberately NOT default-initialised: they are written
-    // by register_ctx and only read while registered, and fork2 makes
-    // two Ctxs per call -- dead stores here show up in the fork row.
-    Ctx* reg_prev_;
-    Ctx* reg_next_;
-    unsigned home_slot_;
+    // Registry links, written only when sp_enabled_ registers this Ctx.
+    // Deliberately NOT initialised: fork2 makes two Ctxs per call, and
+    // dead stores here show up in the fork row.
+    CtxRegistry<Ctx>::Link reg_;
   };
 
   HierRuntime() : HierRuntime(Options{}) {}
@@ -381,21 +372,17 @@ class HierRuntime {
       : opts_(opts),
         pool_(opts.workers),
         gate_(pool_.workers()),
-        slots_(pool_.workers()) {
-    if (!opts_.gc_stress && gc_stress_env()) {
-      opts_.gc_stress = true;
-    }
+        registry_(pool_.workers()) {
+    opts_.gc_stress = opts_.gc_stress || env::gc_stress_env();
+    // PARMEM_INTERNAL_GC_THRESHOLD=bytes forces internal-heap collection
+    // on where the Options leave it off, so the profiling / flame-diff
+    // workflow (scripts/flamediff.py) can perturb the policy on an
+    // unmodified driver binary.
     if (opts_.gc_internal_threshold == 0) {
-      opts_.gc_internal_threshold = internal_gc_threshold_env();
+      env::size_env("PARMEM_INTERNAL_GC_THRESHOLD",
+                    &opts_.gc_internal_threshold);
     }
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
+    rtapi::init_runtime(chunks_, opts_);
     // A nonzero join threshold enables the safepoint machinery too
     // (same escalation the budget uses): join collections must root
     // from EVERY task's frames, because a branch may publish its
@@ -433,24 +420,10 @@ class HierRuntime {
     WorkStealPool::Scope scope(&pool_);
     Heap root(nullptr, 0, &chunks_);
     Ctx ctx(this, &root);
-    // With internal collection enabled the root task is a member of
-    // the running set for the whole run (leaving it only inside fork2
+    // With the safepoint machinery on, the root task is a member of the
+    // running set for the whole run (leaving it only inside fork2
     // joins, like every other task).
-    struct ActiveScope {
-      HierRuntime* rt;
-      explicit ActiveScope(HierRuntime* r) : rt(r) {
-        if (rt->sp_enabled_) {
-          rt->gate_.activate(rt->pool_.current_index());
-        }
-      }
-      ~ActiveScope() {
-        if (rt->sp_enabled_) {
-          rt->gate_.deactivate(rt->pool_.current_index());
-        }
-      }
-      ActiveScope(const ActiveScope&) = delete;
-      ActiveScope& operator=(const ActiveScope&) = delete;
-    } act(this);
+    ActiveScope act(sp_enabled_ ? &gate_ : nullptr, pool_.current_index());
     return f(ctx);
   }
 
@@ -541,74 +514,11 @@ class HierRuntime {
   // populated only while internal collection or GC-stress is enabled).
   std::vector<Heap*> snapshot_heaps() {
     std::vector<Heap*> heaps;
-    for (WorkerSlot& s : slots_) {
-      std::lock_guard<SpinLock> g(s.ctx_lock);
-      for (Ctx* c = s.ctx_head; c != nullptr; c = c->reg_next_) {
-        heaps.push_back(c->heap_);
-      }
-    }
+    registry_.for_each([&](Ctx* c) { heaps.push_back(c->heap_); });
     return heaps;
   }
 
  private:
-  static bool gc_stress_env() {
-    static const bool on = [] {
-      const char* v = std::getenv("PARMEM_GC_STRESS");
-      return v != nullptr && v[0] != '\0' &&
-             !(v[0] == '0' && v[1] == '\0');
-    }();
-    return on;
-  }
-
-  // PARMEM_INTERNAL_GC_THRESHOLD=bytes: force internal-heap collection
-  // on for runtimes whose Options leave it off -- lets the profiling /
-  // flame-diff workflow (scripts/flamediff.py) perturb the policy on an
-  // unmodified driver binary.
-  static std::size_t internal_gc_threshold_env() {
-    static const std::size_t bytes = [] {
-      const char* v = std::getenv("PARMEM_INTERNAL_GC_THRESHOLD");
-      if (v == nullptr || v[0] == '\0') {
-        return std::size_t{0};
-      }
-      return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    }();
-    return bytes;
-  }
-
-  // One cache line per pool worker: the context registry for that
-  // worker's thread (mutated only from it, so the spinlock is
-  // uncontended except against a stopped-world driver scanning the
-  // lists). The running-set counts live in gate_.
-  struct alignas(64) WorkerSlot {
-    SpinLock ctx_lock;
-    Ctx* ctx_head = nullptr;
-  };
-
-  void register_ctx(Ctx* c) {
-    unsigned idx = pool_.current_index();
-    WorkerSlot& s = slots_[idx];
-    c->home_slot_ = idx;
-    std::lock_guard<SpinLock> g(s.ctx_lock);
-    c->reg_prev_ = nullptr;
-    c->reg_next_ = s.ctx_head;
-    if (s.ctx_head != nullptr) {
-      s.ctx_head->reg_prev_ = c;
-    }
-    s.ctx_head = c;
-  }
-  void deregister_ctx(Ctx* c) {
-    WorkerSlot& s = slots_[c->home_slot_];
-    std::lock_guard<SpinLock> g(s.ctx_lock);
-    if (c->reg_prev_ != nullptr) {
-      c->reg_prev_->reg_next_ = c->reg_next_;
-    } else {
-      s.ctx_head = c->reg_next_;
-    }
-    if (c->reg_next_ != nullptr) {
-      c->reg_next_->reg_prev_ = c->reg_prev_;
-    }
-  }
-
   std::size_t effective_internal_threshold() const {
     return opts_.gc_stress ? 1 : opts_.gc_internal_threshold;
   }
@@ -670,15 +580,10 @@ class HierRuntime {
   // Pre-stop peek, racing running mutators: may only read atomics (the
   // authoritative victim scan reruns on the stopped world).
   bool any_internal_victims(std::size_t thr) {
-    for (WorkerSlot& s : slots_) {
-      std::lock_guard<SpinLock> g(s.ctx_lock);
-      for (Ctx* c = s.ctx_head; c != nullptr; c = c->reg_next_) {
-        if (c->heap_->remote_bytes() >= thr) {
-          return true;
-        }
-      }
-    }
-    return false;
+    bool any = false;
+    registry_.for_each(
+        [&](Ctx* c) { any = any || c->heap_->remote_bytes() >= thr; });
+    return any;
   }
 
   void drive_internal_gc(bool forced) {
@@ -698,66 +603,58 @@ class HierRuntime {
         return;
       }
     }
-    if (!gate_.begin_stop()) {
+    StopScope stop(gate_);
+    if (!stop) {
       return;  // parked through another driver's stop instead
     }
     // The internal-GC phase tag makes the leaf collections run below
     // record as gc_internal pauses (trace::pause_kind_from_phase).
     phase::PhaseScope gc_scope(phase::Phase::kInternalGc);
-    internal_doorbell_.store(false, std::memory_order_relaxed);
-    try {
-      collect_internal_victims(thr);
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
+    collect_stopped_victims(thr, /*bill_internal=*/true);
   }
 
   // Emergency rung of the budget cascade (Ctx::emergency_collect): stop
   // the world and collect EVERY live heap, deepest first. Unlike an
   // internal cycle there is no threshold -- the allocation already
   // failed, so all reclaimable garbage is wanted. If another driver's
-  // stop is pending, park through it instead: its collections free
-  // memory just the same, and our caller retries afterwards.
+  // stop is pending, begin_stop parks through it instead: its
+  // collections free memory just the same, and our caller retries.
   void drive_emergency_gc() {
-    if (gate_.pending()) {
-      gate_.park();
-      return;
+    StopScope stop(gate_);
+    if (stop) {
+      collect_stopped_victims(0, /*bill_internal=*/false);
     }
-    if (!gate_.begin_stop()) {
-      return;
-    }
-    internal_doorbell_.store(false, std::memory_order_relaxed);
-    try {
-      std::vector<Ctx*> ctxs;
-      std::vector<Heap*> heaps;
-      snapshot_registry(&ctxs, &heaps);
-      std::vector<Heap*> victims;
-      for (Heap* h : heaps) {
-        if (h->chunks() != nullptr) {
-          victims.push_back(h);
-        }
-      }
-      std::sort(victims.begin(), victims.end(),
-                [](Heap* a, Heap* b) { return a->depth() > b->depth(); });
-      for (Heap* h : victims) {
-        stopped_collect_heap(h, ctxs, heaps, /*bill_internal=*/false);
-      }
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
   }
 
   void snapshot_registry(std::vector<Ctx*>* ctxs, std::vector<Heap*>* heaps) {
-    for (WorkerSlot& s : slots_) {
-      std::lock_guard<SpinLock> g(s.ctx_lock);
-      for (Ctx* c = s.ctx_head; c != nullptr; c = c->reg_next_) {
-        ctxs->push_back(c);
-        heaps->push_back(c->heap_);
+    registry_.for_each([&](Ctx* c) {
+      ctxs->push_back(c);
+      heaps->push_back(c->heap_);
+    });
+  }
+
+  // The world is stopped: every other member of the running set is
+  // parked at a safepoint (holding no raw pointers, by the alloc/fork2
+  // contract) and tasks blocked in fork2 are deactivated, so heaps,
+  // frames and the registry are all frozen and safe to walk. Collects
+  // every heap holding at least `thr` promoted-into bytes (every heap
+  // for thr = 0), deepest first, so a shallower victim's descendant
+  // scan sees the deeper victims' graphs already settled.
+  void collect_stopped_victims(std::size_t thr, bool bill_internal) {
+    internal_doorbell_.store(false, std::memory_order_relaxed);
+    std::vector<Ctx*> ctxs;
+    std::vector<Heap*> heaps;
+    snapshot_registry(&ctxs, &heaps);
+    std::vector<Heap*> victims;
+    for (Heap* h : heaps) {
+      if (h->remote_bytes() >= thr && h->chunks() != nullptr) {
+        victims.push_back(h);
       }
+    }
+    std::sort(victims.begin(), victims.end(),
+              [](Heap* a, Heap* b) { return a->depth() > b->depth(); });
+    for (Heap* h : victims) {
+      stopped_collect_heap(h, ctxs, heaps, bill_internal);
     }
   }
 
@@ -776,30 +673,27 @@ class HierRuntime {
         }
       }
     };
+    std::size_t live;
     if (opts_.gc_parallel_team > 1) {
-      const std::uint64_t trace_t0 = trace::now_ns();
+      const std::uint64_t t0 = trace::now_ns();
       core::ParallelGcOutcome out = internal_gc_collect_parallel(
           chunks_, h, heaps, opts_.gc_parallel_team, frame_roots);
-      const std::size_t live = out.totals.bytes_copied;
+      live = out.totals.bytes_copied;
       h->set_survived_bytes(live);
-      // This branch bills gc_count directly, so it records its own
-      // pause; the kind follows the driver's phase (join / internal /
-      // emergency-as-leaf), like leaf_gc_collect does.
-      trace::record_gc_pause(trace::pause_kind_from_phase(phase::current()),
-                             trace_t0, out.wall_ns, live);
-      stats_.local().gc_count.fetch_add(1, std::memory_order_relaxed);
-      stats_.local().gc_bytes_copied.fetch_add(live, std::memory_order_relaxed);
-      stats_.local().gc_ns.fetch_add(out.totals.busy_ns, std::memory_order_relaxed);
-      if (bill_internal) {
-        stats_.local().internal_gc_count.fetch_add(1, std::memory_order_relaxed);
-        stats_.local().internal_gc_bytes.fetch_add(live, std::memory_order_relaxed);
-      }
-    } else if (bill_internal) {
-      internal_gc_collect(h, heaps, &stats_.local(), frame_roots);
+      // The kind follows the driver's phase (join / internal /
+      // emergency-as-leaf), as in leaf_gc_collect; gc_ns is the team's
+      // summed busy time.
+      record_collection(&stats_.local(),
+                        trace::pause_kind_from_phase(phase::current()), t0,
+                        out.wall_ns, live, out.totals.busy_ns);
     } else {
-      leaf_gc_collect(h, &stats_.local(), [&](auto&& fn) {
+      live = leaf_gc_collect(h, &stats_.local(), [&](auto&& fn) {
         detail::internal_gc_emit_roots(h, heaps, frame_roots, fn);
       });
+    }
+    if (bill_internal) {
+      stats_.local().internal_gc_count.fetch_add(1, std::memory_order_relaxed);
+      stats_.local().internal_gc_bytes.fetch_add(live, std::memory_order_relaxed);
     }
   }
 
@@ -812,7 +706,8 @@ class HierRuntime {
     if (me->heap_->chunks() == nullptr) {
       return;
     }
-    if (!gate_.begin_stop()) {
+    StopScope stop(gate_);
+    if (!stop) {
       return;  // parked through a concurrent stop; the next join retries
     }
     // Tags the collection below as a join-GC pause (gc_join kind).
@@ -820,36 +715,7 @@ class HierRuntime {
     std::vector<Ctx*> ctxs;
     std::vector<Heap*> heaps;
     snapshot_registry(&ctxs, &heaps);
-    try {
-      stopped_collect_heap(me->heap_, ctxs, heaps, /*bill_internal=*/false);
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
-  }
-
-  // The world is stopped: every other member of the running set is
-  // parked at a safepoint (holding no raw pointers, by the alloc/fork2
-  // contract) and tasks blocked in fork2 are deactivated, so heaps,
-  // frames and the registry are all frozen and safe to walk.
-  void collect_internal_victims(std::size_t thr) {
-    std::vector<Ctx*> ctxs;
-    std::vector<Heap*> heaps;
-    snapshot_registry(&ctxs, &heaps);
-    std::vector<Heap*> victims;
-    for (Heap* h : heaps) {
-      if (h->remote_bytes() >= thr && h->chunks() != nullptr) {
-        victims.push_back(h);
-      }
-    }
-    // Deepest first, so a shallower victim's descendant scan sees the
-    // deeper victims' graphs already settled.
-    std::sort(victims.begin(), victims.end(),
-              [](Heap* a, Heap* b) { return a->depth() > b->depth(); });
-    for (Heap* h : victims) {
-      stopped_collect_heap(h, ctxs, heaps, /*bill_internal=*/true);
-    }
+    stopped_collect_heap(me->heap_, ctxs, heaps, /*bill_internal=*/false);
   }
 
   Options opts_;
@@ -857,8 +723,8 @@ class HierRuntime {
   ChunkPool chunks_;
   ShardedStats stats_{WorkStealPool::resolved_workers(opts_.workers)};
   WorkStealPool pool_;
-  SafepointGate gate_;             // pause/resume of the running set
-  std::vector<WorkerSlot> slots_;  // per-worker ctx registries
+  SafepointGate gate_;          // pause/resume of the running set
+  CtxRegistry<Ctx> registry_;  // every live Ctx while sp_enabled_
   std::atomic<bool> internal_doorbell_{false};
   std::atomic<std::uint64_t> stress_tick_{0};
 };

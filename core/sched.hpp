@@ -12,18 +12,17 @@
 // growth aside).
 //
 // Deque <-> gate memory-ordering contract (shared with SafepointGate
-// below and the STW runtime's inlined copy of the same protocol): a
-// task sitting in a deque is INERT -- it is not a member of any gate's
+// below, the one stop protocol every parallel runtime uses): a task
+// sitting in a deque is INERT -- it is not a member of any gate's
 // running set and holds no heap or runtime state that a stopper could
 // need quiesced. A task joins the running set only when the worker
 // that dequeued it executes it and that execution activates the gate
-// (branch_enter / the STW fork path), which is a seq_cst RMW on the
-// executing worker's own slot, Dekker-paired with the stopper's
-// seq_cst stop-flag store + count read. Stoppers therefore never
-// inspect deque contents, and the deque's internal orderings only have
-// to publish the task payload from pusher to taker (see
-// core/deque.hpp); no ordering edge between deque indices and gate
-// flags is required for stop correctness. The one cross-component
+// (branch_enter), which is a seq_cst RMW on the executing worker's
+// own slot, Dekker-paired with the stopper's seq_cst stop-flag store
+// + count read. Stoppers therefore never inspect deque contents, and
+// the deque's internal orderings only have to publish the task payload
+// from pusher to taker (see core/deque.hpp); no ordering edge between
+// deque indices and gate flags is required for stop correctness. The one cross-component
 // ordering this file does own is the push-vs-park Dekker pair on
 // sleepers_, documented at push()/park_worker().
 #pragma once
@@ -42,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/heap.hpp"  // SpinLock
 #include "core/phase.hpp"
 #include "core/profiler.hpp"
 #include "core/sig_io.hpp"  // sig_write / sig_write_i64 (hoisted from here)
@@ -363,8 +363,8 @@ class WorkStealPool {
 };
 
 // Cooperative pause/resume gate for runtimes that must occasionally
-// quiesce every running task (hierarchy-aware internal-heap collection;
-// the same protocol StwRuntime inlines for its stop-the-world cycles):
+// quiesce every running task (stw's stop-the-world cycles, hier's
+// internal/join/emergency collections, localheap's global collection):
 //
 //   - Tasks enter/leave the running set with activate()/deactivate(),
 //     one seq_cst RMW on their own worker's cache line plus a flag
@@ -378,8 +378,7 @@ class WorkStealPool {
 //     already pending and the caller was parked through it instead.
 //
 // Progress is cooperative: an activated task that neither reaches a
-// safepoint nor deactivates stalls a pending stop (the same contract as
-// the STW runtime's pause).
+// safepoint nor deactivates stalls a pending stop.
 class SafepointGate;
 
 // Process-global table of live SafepointGates so the test watchdog's
@@ -603,6 +602,115 @@ class SafepointGate {
   void* team_arg_ = nullptr;
   unsigned team_next_ = 0;
   unsigned team_limit_ = 0;
+};
+
+// One stop of the world: begin_stop() at construction, end_stop() on
+// every exit once the stop was won -- including an exception out of
+// the collection, which must never leave the world stopped. False
+// when another stop was pending and the caller was parked through it.
+class StopScope {
+ public:
+  explicit StopScope(SafepointGate& g) : gate_(&g), won_(g.begin_stop()) {}
+  ~StopScope() {
+    if (won_) {
+      gate_->end_stop();
+    }
+  }
+  StopScope(const StopScope&) = delete;
+  StopScope& operator=(const StopScope&) = delete;
+
+  explicit operator bool() const { return won_; }
+
+ private:
+  SafepointGate* gate_;
+  bool won_;
+};
+
+// Running-set membership of the calling worker for one scope (a run()'s
+// root task). A null gate -- the runtime's safepoint machinery is off
+// -- makes it a no-op.
+class ActiveScope {
+ public:
+  ActiveScope(SafepointGate* g, unsigned worker) : gate_(g), worker_(worker) {
+    if (gate_ != nullptr) {
+      gate_->activate(worker_);
+    }
+  }
+  ~ActiveScope() {
+    if (gate_ != nullptr) {
+      gate_->deactivate(worker_);
+    }
+  }
+  ActiveScope(const ActiveScope&) = delete;
+  ActiveScope& operator=(const ActiveScope&) = delete;
+
+ private:
+  SafepointGate* gate_;
+  unsigned worker_;
+};
+
+// A runtime's live task contexts, for stopped-world drivers that must
+// walk every task's frames or heap. One intrusive list per pool worker,
+// mutated only from that worker's thread, so its spinlock is
+// uncontended except against a driver scanning the lists. `Ctx` embeds
+// a `Link reg_` and befriends this class.
+template <class Ctx>
+class CtxRegistry {
+ public:
+  // No member initialisers: add() writes every field, and they are read
+  // only while registered, so a Ctx that never registers pays nothing.
+  struct Link {
+    Ctx* prev;
+    Ctx* next;
+    unsigned home;
+  };
+
+  explicit CtxRegistry(unsigned workers) : slots_(workers) {}
+
+  void add(Ctx* c, unsigned worker) {
+    Slot& s = slots_[worker];
+    c->reg_.home = worker;
+    std::lock_guard<SpinLock> g(s.lock);
+    c->reg_.prev = nullptr;
+    c->reg_.next = s.head;
+    if (s.head != nullptr) {
+      s.head->reg_.prev = c;
+    }
+    s.head = c;
+  }
+
+  void remove(Ctx* c) {
+    Slot& s = slots_[c->reg_.home];
+    std::lock_guard<SpinLock> g(s.lock);
+    if (c->reg_.prev != nullptr) {
+      c->reg_.prev->reg_.next = c->reg_.next;
+    } else {
+      s.head = c->reg_.next;
+    }
+    if (c->reg_.next != nullptr) {
+      c->reg_.next->reg_.prev = c->reg_.prev;
+    }
+  }
+
+  // fn(Ctx*) on every registered context, each worker's list under its
+  // lock.
+  template <class Fn>
+  void for_each(Fn&& fn) {
+    for (Slot& s : slots_) {
+      std::lock_guard<SpinLock> g(s.lock);
+      for (Ctx* c = s.head; c != nullptr; c = c->reg_.next) {
+        fn(c);
+      }
+    }
+  }
+
+ private:
+  struct alignas(64) Slot {
+    SpinLock lock;
+    Ctx* head = nullptr;
+  };
+
+  std::vector<Slot> slots_;  // one per pool worker; fixed size
 };
 
 }  // namespace parmem

@@ -25,9 +25,8 @@
 //
 // GC-pause accounting invariant (pinned by a unit test): every
 // Stats::gc_count increment pairs with exactly ONE pause event among
-// {gc_leaf, gc_join, gc_internal, gc_stw, gc_global} -- the leaf
-// collector records under the ambient phase's kind, and the paths that
-// bill gc_count directly (team evacuations) record their own -- so
+// {gc_leaf, gc_join, gc_internal, gc_stw, gc_global}, because both are
+// written by one call, record_collection (core/gc_leaf.hpp) -- so
 // summing those five histograms' counts reproduces gc_count.
 #pragma once
 
@@ -250,8 +249,8 @@ inline void record(Ev kind, std::uint64_t start_ns, std::uint64_t dur_ns,
   }
 }
 
-// One GC pause. Every Stats::gc_count increment must route through
-// exactly one of these (see the header comment's invariant).
+// One GC pause; recorded only by record_collection (core/gc_leaf.hpp),
+// together with the gc_count increment (the header comment's invariant).
 inline void record_gc_pause(Ev kind, std::uint64_t start_ns,
                             std::uint64_t dur_ns, std::uint64_t bytes) {
   record(kind, start_ns, dur_ns, bytes);

@@ -41,14 +41,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -59,7 +57,6 @@
 #include "core/heap.hpp"
 #include "core/object.hpp"
 #include "core/phase.hpp"
-#include "core/profiler.hpp"
 #include "core/promote.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
@@ -202,14 +199,9 @@ class LhRuntime {
     // A no-op unless the safepoint machinery is enabled (a threshold,
     // a heap budget, or GC-stress).
     void collect_global_now() {
-      if (!rt_->sp_enabled_) {
-        return;
+      if (rt_->sp_enabled_) {
+        rt_->drive_global_gc(/*forced=*/true);
       }
-      if (rt_->gate_.pending()) {
-        rt_->gate_.park();
-        return;
-      }
-      rt_->drive_global_gc(/*forced=*/true);
     }
 
     LhRuntime& runtime() { return *rt_; }
@@ -284,7 +276,9 @@ class LhRuntime {
                                                   std::memory_order_relaxed);
       collect_now();
       if (__builtin_expect(rt_->sp_enabled_, 0)) {
-        rt_->drive_emergency_gc();
+        // If another driver's stop is pending, begin_stop parks through
+        // it instead: its collection frees memory just the same.
+        rt_->drive_global_gc(/*forced=*/true);
       }
       // One event spanning the whole cascade; its constituent
       // collections also recorded individually above.
@@ -301,20 +295,14 @@ class LhRuntime {
       : opts_(opts),
         global_(nullptr, 0, &chunks_),
         pool_(opts.workers) {
-    if (!opts_.gc_stress && gc_stress_env()) {
-      opts_.gc_stress = true;
-    }
+    opts_.gc_stress = opts_.gc_stress || env::gc_stress_env();
+    // PARMEM_GC_GLOBAL_THRESHOLD=bytes forces global collection on where
+    // the Options leave it off, so the profiling / flame-diff workflow
+    // can perturb the policy on an unmodified driver.
     if (opts_.gc_global_threshold == 0) {
-      opts_.gc_global_threshold = global_gc_threshold_env();
+      env::size_env("PARMEM_GC_GLOBAL_THRESHOLD", &opts_.gc_global_threshold);
     }
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
+    rtapi::init_runtime(chunks_, opts_);
     // A heap budget enables the safepoint machinery too: the emergency
     // cascade's global rung needs the gate.
     sp_enabled_ = opts_.gc_stress || opts_.gc_global_threshold != 0 ||
@@ -368,21 +356,7 @@ class LhRuntime {
     // running set for the whole run (leaving it only inside fork2
     // joins, like every other task). Declared after Teardown so the
     // task deactivates before the heaps are dropped.
-    struct ActiveScope {
-      LhRuntime* rt;
-      explicit ActiveScope(LhRuntime* r) : rt(r) {
-        if (rt->sp_enabled_) {
-          rt->gate_.activate(rt->pool_.current_index());
-        }
-      }
-      ~ActiveScope() {
-        if (rt->sp_enabled_) {
-          rt->gate_.deactivate(rt->pool_.current_index());
-        }
-      }
-      ActiveScope(const ActiveScope&) = delete;
-      ActiveScope& operator=(const ActiveScope&) = delete;
-    } act(this);
+    ActiveScope act(sp_enabled_ ? &gate_ : nullptr, pool_.current_index());
     return f(ctx);
   }
 
@@ -466,29 +440,6 @@ class LhRuntime {
 
  private:
   friend class Ctx;
-
-  static bool gc_stress_env() {
-    static const bool on = [] {
-      const char* v = std::getenv("PARMEM_GC_STRESS");
-      return v != nullptr && v[0] != '\0' &&
-             !(v[0] == '0' && v[1] == '\0');
-    }();
-    return on;
-  }
-
-  // PARMEM_GC_GLOBAL_THRESHOLD=bytes: force global collection on for
-  // runtimes whose Options leave it off -- lets the profiling /
-  // flame-diff workflow perturb the policy on an unmodified driver.
-  static std::size_t global_gc_threshold_env() {
-    static const std::size_t bytes = [] {
-      const char* v = std::getenv("PARMEM_GC_GLOBAL_THRESHOLD");
-      if (v == nullptr || v[0] == '\0') {
-        return std::size_t{0};
-      }
-      return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    }();
-    return bytes;
-  }
 
   Object* promote_to_global(Object* v) {
     // Same fault discipline as promote_and_store (this path bypasses
@@ -587,31 +538,15 @@ class LhRuntime {
         return;
       }
     }
-    if (!gate_.begin_stop()) {
+    StopScope stop(gate_);
+    if (!stop) {
       return;  // parked through another driver's stop instead
     }
     // The global-GC phase tag makes the collection below record as a
     // gc_global pause (trace::pause_kind_from_phase).
     phase::PhaseScope gc_scope(phase::Phase::kGlobalGc);
     global_doorbell_.store(false, std::memory_order_relaxed);
-    try {
-      collect_global_stopped();
-    } catch (...) {
-      gate_.end_stop();  // never leave the world stopped (OS OOM in GC)
-      throw;
-    }
-    gate_.end_stop();
-  }
-
-  // Emergency rung of the budget cascade (Ctx::emergency_collect). If
-  // another driver's stop is pending, park through it instead: its
-  // collection frees memory just the same, and the caller retries.
-  void drive_emergency_gc() {
-    if (gate_.pending()) {
-      gate_.park();
-      return;
-    }
-    drive_global_gc(/*forced=*/true);
+    collect_global_stopped();
   }
 
   // Collect the global heap. Precondition: the world is stopped --
@@ -628,9 +563,9 @@ class LhRuntime {
   // That is exactly the internal-collection root discovery with
   // target = global_ and the local heaps as the descendant set.
   //
-  // Parked mutators are recruited as evacuators: the gate hands each a
-  // ParallelCollector slot, and one awake recruit claims any slots
-  // late sleepers leave unclaimed, so finish() always completes.
+  // Parked mutators are recruited as evacuators
+  // (core::collect_with_parked_team); with none parked, the sequential
+  // leaf collector runs instead.
   void collect_global_stopped() {
     if (global_.chunks() == nullptr) {
       global_.reset_remote_bytes();
@@ -654,36 +589,17 @@ class LhRuntime {
     const unsigned recruits = gate_.parked();
     std::size_t live;
     if (recruits > 0) {
-      const unsigned team = recruits + 1;
-      const std::uint64_t trace_t0 = trace::now_ns();
-      core::ParallelCollector pc(chunks_, std::vector<Heap*>{&global_},
-                                 core::ParallelGcOptions{team, 128});
-      pc.prepare(each_root);
-      gate_.offer_team(&run_team_slot, &pc, 1, team);
-      pc.run_worker(0);
-      core::ParallelGcOutcome out;
-      try {
-        out = pc.finish();  // waits for every recruit; rethrows an abort
-      } catch (...) {
-        gate_.retract_team();
-        throw;
-      }
-      gate_.retract_team();
+      const std::uint64_t t0 = trace::now_ns();
+      const core::ParallelGcOutcome out = core::collect_with_parked_team(
+          gate_, chunks_, &global_, recruits + 1, each_root);
       live = out.totals.bytes_copied;
-      // The team path bills gc_count directly (no leaf_gc_collect
-      // underneath), so it records its own pause; gc_ns aggregates the
-      // team's summed busy time, like other team collections.
-      trace::record_gc_pause(trace::Ev::kGcGlobal, trace_t0, out.wall_ns,
-                             live);
-      stats_.local().gc_count.fetch_add(1, std::memory_order_relaxed);
-      stats_.local().gc_bytes_copied.fetch_add(live,
-                                               std::memory_order_relaxed);
-      stats_.local().gc_ns.fetch_add(out.totals.busy_ns,
-                                     std::memory_order_relaxed);
+      // gc_ns is the team's summed busy time, like other team
+      // collections.
+      record_collection(&stats_.local(), trace::Ev::kGcGlobal, t0,
+                        out.wall_ns, live, out.totals.busy_ns);
     } else {
-      // Sequential path (no one parked to recruit): the shared leaf
-      // collector records the pause as gc_global via the ambient phase
-      // and bills gc_count / gc_bytes_copied / gc_ns itself.
+      // The leaf collector records the pause as gc_global via the
+      // ambient phase.
       live = leaf_gc_collect(&global_, &stats_.local(), each_root);
     }
     global_.reset_remote_bytes();
@@ -696,10 +612,6 @@ class LhRuntime {
     // RSS at the sink's all-time high-water even though every cycle
     // empties it.
     chunks_.trim(chunks_.live_bytes());
-  }
-
-  static void run_team_slot(void* pc, unsigned slot) {
-    static_cast<core::ParallelCollector*>(pc)->run_worker(slot);
   }
 
   Options opts_;

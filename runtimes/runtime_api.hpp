@@ -72,17 +72,37 @@
 #include <cstdint>
 #include <exception>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <variant>
 
+#include "core/failpoint.hpp"
+#include "core/heap.hpp"
 #include "core/object.hpp"
+#include "core/profiler.hpp"
 #include "core/roots.hpp"
 #include "core/sched.hpp"
 #include "core/stats.hpp"
+#include "core/trace.hpp"
 
 namespace parmem {
 
 namespace rtapi {
+
+// The construction prelude every runtime shares: the process-wide
+// fault-injection, trace and profiler knobs, this thread's stack
+// watermark, then the runtime's own heap budget and failpoint spec.
+template <class Options>
+void init_runtime(ChunkPool& chunks, const Options& o) {
+  env::install_failpoints_env();
+  trace::init_from_env();
+  profiler::init_from_env();
+  profiler::note_stack_hi();
+  chunks.set_budget(effective_heap_budget(o.heap_budget_bytes));
+  if (!o.failpoints.empty()) {
+    failpoint::install(o.failpoints);
+  }
+}
 
 // void branches surface as std::monostate in fork2's result pair.
 template <class Fn, class Ctx>

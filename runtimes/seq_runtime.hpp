@@ -17,11 +17,9 @@
 #include "core/gc_leaf.hpp"
 #include "core/heap.hpp"
 #include "core/object.hpp"
-#include "core/profiler.hpp"
 #include "core/roots.hpp"
 #include "core/stats.hpp"
 #include "core/stats_json.hpp"
-#include "core/trace.hpp"
 #include "runtimes/runtime_api.hpp"
 
 namespace parmem {
@@ -139,14 +137,7 @@ class SeqRuntime {
 
   SeqRuntime() : SeqRuntime(Options{}) {}
   explicit SeqRuntime(const Options& opts) : opts_(opts) {
-    env::install_failpoints_env();
-    trace::init_from_env();
-    profiler::init_from_env();
-    profiler::note_stack_hi();
-    chunks_.set_budget(effective_heap_budget(opts_.heap_budget_bytes));
-    if (!opts_.failpoints.empty()) {
-      failpoint::install(opts_.failpoints);
-    }
+    rtapi::init_runtime(chunks_, opts_);
   }
   SeqRuntime(const SeqRuntime&) = delete;
   SeqRuntime& operator=(const SeqRuntime&) = delete;

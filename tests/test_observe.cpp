@@ -130,11 +130,26 @@ PARMEM_TEST(observe_phase_scopes_restore_across_fork_and_steal) {
 // ---- pause-histogram / gc_count invariant ---------------------------------
 
 // Every Stats::gc_count increment must record exactly one pause event
-// among {gc_leaf, gc_join, gc_internal, gc_stw}: sum those four
-// histograms and compare against the runtime's own counter, under
-// stress so every collector (leaf, join, internal, parallel, STW team)
-// contributes. Runtimes run one at a time and are destroyed (workers
+// among {gc_leaf, gc_join, gc_internal, gc_stw, gc_global}: sum those
+// five histograms and compare against the runtime's own counter, with
+// every collection-record site contributing -- leaf, join, internal,
+// hier's team, stw's recruited team, and localheap's global collection
+// (sequential or recruited team). The runtime is destroyed (workers
 // joined) before the trace snapshot, so the counts are quiescent.
+template <class RT, class Kernel>
+void check_pauses_match_gc_count(const typename RT::Options& o,
+                                 Kernel&& kernel) {
+  trace::reset();
+  std::uint64_t gcs = 0;
+  {
+    RT rt(o);
+    kernel(rt);
+    gcs = rt.stats().gc_count;
+  }
+  CHECK(gcs > 0);
+  CHECK_EQ(trace::snapshot().pause_count(), gcs);
+}
+
 PARMEM_TEST(observe_pause_histogram_totals_match_gc_counters) {
   const Sizes z = [] {
     Sizes s;
@@ -144,65 +159,37 @@ PARMEM_TEST(observe_pause_histogram_totals_match_gc_counters) {
     s.usp_side = 18;
     return s;
   }();
+  auto usp_tree = [&z](auto& rt) { (void)bench_usp_tree(rt, z); };
+  auto strassen = [&z](auto& rt) { (void)bench_strassen(rt, z); };
 
-  {  // hier under gc_stress: leaf + join + internal collections.
-    trace::reset();
-    std::uint64_t gcs = 0;
-    {
-      HierRuntime::Options o;
-      o.workers = 2;
-      o.gc_stress = true;
-      HierRuntime rt(o);
-      (void)bench_usp_tree(rt, z);
-      gcs = rt.stats().gc_count;
-    }
-    CHECK(gcs > 0);
-    CHECK_EQ(trace::snapshot().pause_count(), gcs);
-  }
+  // hier under gc_stress: leaf + join + internal collections, then the
+  // same with a team of two evacuating the stopped-world ones.
+  HierRuntime::Options ho;
+  ho.workers = 2;
+  ho.gc_stress = true;
+  check_pauses_match_gc_count<HierRuntime>(ho, usp_tree);
+  ho.gc_parallel_team = 2;
+  check_pauses_match_gc_count<HierRuntime>(ho, usp_tree);
 
-  {  // stw with a 1-byte budget: recruited-team evacuations.
-    trace::reset();
-    std::uint64_t gcs = 0;
-    {
-      StwRuntime::Options o;
-      o.workers = 2;
-      o.gc_min_budget = 1;
-      StwRuntime rt(o);
-      (void)bench_strassen(rt, z);
-      gcs = rt.stats().gc_count;
-    }
-    CHECK(gcs > 0);
-    CHECK_EQ(trace::snapshot().pause_count(), gcs);
-  }
+  // stw with a 1-byte budget: recruited-team evacuations.
+  StwRuntime::Options so;
+  so.workers = 2;
+  so.gc_min_budget = 1;
+  check_pauses_match_gc_count<StwRuntime>(so, strassen);
 
-  {  // localheap: sequential leaf collections + promotions.
-    trace::reset();
-    std::uint64_t gcs = 0;
-    {
-      LhRuntime::Options o;
-      o.workers = 2;
-      o.gc_min_budget = 1;
-      LhRuntime rt(o);
-      (void)bench_usp_tree(rt, z);
-      gcs = rt.stats().gc_count;
-    }
-    CHECK(gcs > 0);
-    CHECK_EQ(trace::snapshot().pause_count(), gcs);
-  }
+  // localheap: sequential leaf collections + promotions, then global
+  // collections at every promotion.
+  LhRuntime::Options lo;
+  lo.workers = 2;
+  lo.gc_min_budget = 1;
+  check_pauses_match_gc_count<LhRuntime>(lo, usp_tree);
+  lo.gc_global_threshold = 1;
+  check_pauses_match_gc_count<LhRuntime>(lo, usp_tree);
 
-  {  // seq: the single-heap baseline.
-    trace::reset();
-    std::uint64_t gcs = 0;
-    {
-      SeqRuntime::Options o;
-      o.gc_min_budget = 1;
-      SeqRuntime rt(o);
-      (void)bench_strassen(rt, z);
-      gcs = rt.stats().gc_count;
-    }
-    CHECK(gcs > 0);
-    CHECK_EQ(trace::snapshot().pause_count(), gcs);
-  }
+  // seq: the single-heap baseline.
+  SeqRuntime::Options qo;
+  qo.gc_min_budget = 1;
+  check_pauses_match_gc_count<SeqRuntime>(qo, strassen);
   trace::reset();
 }
 

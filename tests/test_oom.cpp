@@ -503,11 +503,17 @@ PARMEM_TEST(oom_composes_with_gc_stress) {
 
 // ---- env validation (satellite b): exit(2) + one-line diagnosis -------------
 
-// Spawned by oom_env_validation in a child process; just constructs a
-// runtime, which is what triggers env validation.
+// Spawned by oom_env_validation in a child process; just constructs
+// runtimes, which is what triggers env validation (hier and localheap
+// also read their collection-threshold knobs).
 PARMEM_TEST(oom_env_probe) {
-  SeqRuntime rt;
-  (void)rt;
+  SeqRuntime seq;
+  HierRuntime::Options ho;
+  ho.workers = 1;
+  HierRuntime hier(ho);
+  LhRuntime::Options lo;
+  lo.workers = 1;
+  LhRuntime lh(lo);
 }
 
 PARMEM_TEST(oom_env_validation) {
@@ -528,6 +534,33 @@ PARMEM_TEST(oom_env_validation) {
   CHECK_EQ(run_with_env("PARMEM_HEAP_BUDGET=12MB"), 2);
   CHECK_EQ(run_with_env("PARMEM_FAILPOINTS='nosite=fail@1'"), 2);
   CHECK_EQ(run_with_env("PARMEM_FAILPOINTS='chunk_alloc=prob(9,1)'"), 2);
+  CHECK_EQ(run_with_env("PARMEM_INTERNAL_GC_THRESHOLD=1M"), 0);
+  CHECK_EQ(run_with_env("PARMEM_INTERNAL_GC_THRESHOLD=abc"), 2);
+  CHECK_EQ(run_with_env("PARMEM_GC_GLOBAL_THRESHOLD=64K"), 0);
+  CHECK_EQ(run_with_env("PARMEM_GC_GLOBAL_THRESHOLD=1MB"), 2);
+}
+
+// The collection-threshold knobs take the same K/M/G byte sizes as
+// PARMEM_HEAP_BUDGET: "1M" must not read as 1 byte, which would collect
+// at every promotion. An explicit option still wins over the
+// environment.
+PARMEM_TEST(env_gc_threshold_knobs_parse_size_suffix) {
+  ::setenv("PARMEM_INTERNAL_GC_THRESHOLD", "1M", 1);
+  ::setenv("PARMEM_GC_GLOBAL_THRESHOLD", "2k", 1);
+  {
+    HierRuntime::Options ho;
+    ho.workers = 1;
+    LhRuntime::Options lo;
+    lo.workers = 1;
+    CHECK_EQ(HierRuntime(ho).options().gc_internal_threshold,
+             std::size_t{1048576});
+    CHECK_EQ(LhRuntime(lo).options().gc_global_threshold, std::size_t{2048});
+    ho.gc_internal_threshold = 7;
+    CHECK_EQ(HierRuntime(ho).options().gc_internal_threshold,
+             std::size_t{7});
+  }
+  ::unsetenv("PARMEM_INTERNAL_GC_THRESHOLD");
+  ::unsetenv("PARMEM_GC_GLOBAL_THRESHOLD");
 }
 
 }  // namespace

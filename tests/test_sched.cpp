@@ -1,5 +1,6 @@
 // Scheduler-layer tests: Chase-Lev deque semantics and torture, the
-// push-vs-park wakeup protocol, oversubscribed pools (threads > cores,
+// push-vs-park wakeup protocol, the safepoint gate's StopScope and
+// registry, oversubscribed pools (threads > cores,
 // the contended-steal regime the 1-core CI box can actually produce),
 // sharded-stats exactness, and the ChunkPool's size-classed recycling
 // (per-thread caches, steady-state reuse, trim, ASan poisoning).
@@ -7,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -227,6 +229,73 @@ PARMEM_TEST(sched_oversubscribed_pool) {
     CHECK_EQ(bench_fib(rt, z).checksum, fib_ref);
     CHECK_EQ(bench_usp_tree(rt, z).checksum, usp_ref);
   }
+}
+
+// A collection that throws inside a StopScope must still end its stop:
+// the parked task resumes, and the next begin_stop wins again instead
+// of parking forever behind a stop nobody ends (the test watchdog is
+// the backstop for that hang).
+PARMEM_TEST(sched_stop_scope_exception_releases_gate) {
+  SafepointGate gate(2);
+  std::atomic<bool> ready{false};
+  std::atomic<bool> done{false};
+  gate.activate(0);
+  std::thread mutator([&] {
+    gate.activate(1);
+    ready.store(true, std::memory_order_release);
+    while (!done.load(std::memory_order_acquire)) {
+      if (gate.pending()) {
+        gate.park();
+      }
+      std::this_thread::yield();
+    }
+    gate.deactivate(1);
+  });
+  while (!ready.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  bool caught = false;
+  try {
+    StopScope stop(gate);
+    CHECK(static_cast<bool>(stop));
+    CHECK_EQ(gate.parked(), 1u);
+    throw std::runtime_error("collection failed");
+  } catch (const std::runtime_error&) {
+    caught = true;
+  }
+  CHECK(caught);
+  CHECK(!gate.pending());
+  {
+    StopScope again(gate);
+    CHECK(static_cast<bool>(again));
+    CHECK_EQ(gate.parked(), 1u);
+  }
+  done.store(true, std::memory_order_release);
+  mutator.join();
+  gate.deactivate(0);
+}
+
+// The stop-the-world runtime stops through a SafepointGate like the
+// others, so the watchdog's GateRegistry sees it for exactly the
+// runtime's lifetime.
+PARMEM_TEST(stw_gate_visible_to_watchdog_registry) {
+  auto live_gates = [] {
+    unsigned n = 0;
+    GateRegistry::for_each([&](SafepointGate*) { ++n; });
+    return n;
+  };
+  const unsigned before = live_gates();
+  {
+    StwRuntime::Options o;
+    o.workers = 2;
+    StwRuntime rt(o);
+    CHECK_EQ(live_gates(), before + 1);
+    Sizes z;
+    z.fib_n = 12;
+    (void)bench_fib(rt, z);
+    CHECK_EQ(live_gates(), before + 1);
+  }
+  CHECK_EQ(live_gates(), before);
 }
 
 template <class RT>
