@@ -29,9 +29,10 @@ int main(int argc, char** argv) {
   std::printf(
       "Ablation: fine-grained promotion (Section 5 future work) (P=%u)\n\n",
       procs);
-  std::printf("%-15s %-7s %9s %9s %7s %12s %10s %10s\n", "benchmark", "mode",
-              "T1(s)", "Tp(s)", "spd", "promotions", "promoMB", "conflicts");
-  print_rule(88);
+  std::printf("%-15s %-7s %9s %9s %7s %12s %10s %10s %12s\n", "benchmark",
+              "mode", "T1(s)", "Tp(s)", "spd", "promotions", "promoMB",
+              "conflicts", "escalations");
+  print_rule(101);
 
   struct Item {
     const char* name;
@@ -79,14 +80,14 @@ int main(int argc, char** argv) {
                        return item.fn(r, z);
                      });
       }
-      std::printf("%-15s %-7s %9.3f %9.3f %6.2fx %12llu %10.2f %10llu\n",
-                  item.name, mode.name, m1.seconds, mp.seconds,
-                  m1.seconds / mp.seconds,
-                  static_cast<unsigned long long>(mp.stats.promotions),
-                  static_cast<double>(mp.stats.promoted_bytes) /
-                      (1024.0 * 1024.0),
-                  static_cast<unsigned long long>(
-                      mp.stats.promo_claim_conflicts));
+      std::printf(
+          "%-15s %-7s %9.3f %9.3f %6.2fx %12llu %10.2f %10llu %12llu\n",
+          item.name, mode.name, m1.seconds, mp.seconds,
+          m1.seconds / mp.seconds,
+          static_cast<unsigned long long>(mp.stats.promotions),
+          static_cast<double>(mp.stats.promoted_bytes) / (1024.0 * 1024.0),
+          static_cast<unsigned long long>(mp.stats.promo_claim_conflicts),
+          static_cast<unsigned long long>(mp.stats.promo_escalations));
       std::fflush(stdout);
     }
   }
@@ -95,6 +96,8 @@ int main(int argc, char** argv) {
       "below); under `fine` concurrent promotions to the root heap overlap "
       "and the speedup recovers; usp and msort perform no promotions and "
       "are mode-insensitive; conflicts stay near zero because usp-tree's "
-      "promotions are disjoint (Section 5)\n");
+      "promotions are disjoint (Section 5); escalations (coarse promotions "
+      "that locked the path below the target heap) read 0 on the usp-tree "
+      "kernels, whose closures are one fresh node in the writer's leaf\n");
   return 0;
 }

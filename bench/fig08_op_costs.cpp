@@ -167,8 +167,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\npaper's qualitative matrix: local row = plain/few instructions; "
       "distant reads/non-ptr writes cheap, distant non-promoting ptr "
-      "writes take one heap lock, promoting writes lock the path and "
-      "copy; promoted rows pay the findMaster barrier (immutable reads "
-      "stay plain everywhere)\n");
+      "writes take one heap lock, promoting writes lock the target heap "
+      "(the whole path only when the closure reaches a heap between the "
+      "target and the leaf) and copy; promoted rows pay the findMaster "
+      "barrier (immutable reads stay plain everywhere)\n");
   return 0;
 }

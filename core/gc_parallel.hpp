@@ -269,17 +269,22 @@ class ParallelCollector {
         break;
       }
       std::size_t e = i + kRootBatch < nroots ? i + kRootBatch : nroots;
+      // A slot can be listed more than once (aliased roots), so a
+      // teammate may already have rewritten it to a to-space copy in
+      // a chunk it just opened: load with acquire and store with
+      // release, so the chunk's header is visible to whoever reads
+      // the rewritten slot next.
       for (; i < e; ++i) {
         Object** slot_p = roots_[i];
         Object* cur =
-            std::atomic_ref<Object*>(*slot_p).load(std::memory_order_relaxed);
+            std::atomic_ref<Object*>(*slot_p).load(std::memory_order_acquire);
         if (cur == nullptr) {
           continue;
         }
         Object* fwd = forward(ws, cur);
         if (fwd != cur) {
           std::atomic_ref<Object*>(*slot_p).store(fwd,
-                                                  std::memory_order_relaxed);
+                                                  std::memory_order_release);
         }
       }
     }

@@ -542,7 +542,7 @@ class Heap {
     // lock-order edges and conflates the logical mutexes sharing the
     // address across time -- its deadlock detector then reports
     // cycles no live acquisition order can produce. (Live edges are
-    // acyclic: PathLockGuard locks shallow-first along ancestor
+    // acyclic: LazyPathLock locks shallow-first along ancestor
     // chains and parent_ is construction-only, so the relative order
     // of two live heaps can never invert.)
     __tsan_mutex_destroy(&lock_, 0);

@@ -93,18 +93,36 @@ class Object {
                                         std::memory_order_acquire);
   }
 
-  // Follow the forwarding chain to the master copy. One predictable
-  // not-taken branch for unpromoted objects; spins past in-flight
-  // fine-grained claims. Force-inlined: this IS the mutable-barrier
+  // Follow the forwarding chain to the master copy. Inline is only
+  // what the mutable barriers need: one predictable not-taken branch
+  // for an unpromoted object, and one hop for a stale copy whose
+  // master is not itself forwarded. Longer chains and in-flight
+  // fine-grained claims go out of line to chase_slow, so the hot path
+  // is straight-line code rather than a loop the compiler enters by a
+  // jump on every read. Force-inlined: this IS the mutable-barrier
   // fast path, and once the runtime translation unit grew past the
   // inliner's unit-growth budget gcc started outlining it, tripling
-  // the fig08 barrier rows.
+  // the fig08 barrier rows. (Outlining the one hop too doubles the
+  // promoted-read row.)
   [[gnu::always_inline]] static inline Object* chase(Object* o) {
+    Object* f = o->fwd_.load(std::memory_order_acquire);
+    if (__builtin_expect(f == nullptr, 1)) {
+      return o;
+    }
+    if (f != busy_sentinel() &&
+        f->fwd_.load(std::memory_order_acquire) == nullptr) {
+      return f;
+    }
+    return chase_slow(o);
+  }
+
+  // The rest of chase: walks any chain length and spins past kBusy (a
+  // concurrent fine-grained promotion is mid-copy; the claimer installs
+  // the real pointer shortly).
+  [[gnu::noinline]] static Object* chase_slow(Object* o) {
     Object* f = o->fwd_.load(std::memory_order_acquire);
     while (f != nullptr) {
       if (f == busy_sentinel()) {
-        // A concurrent fine-grained promotion is mid-copy; the claimer
-        // installs the real pointer shortly.
         f = o->fwd_.load(std::memory_order_acquire);
         continue;
       }

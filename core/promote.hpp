@@ -3,14 +3,32 @@
 // of the written value that lives below the target heap is copied up
 // into it. Old copies get forwarding pointers and stay readable, so a
 // task holding a stale reference pays only a chase in its mutable
-// barriers.
+// barriers (Object::chase: one inline hop, longer chains out of line).
 //
 // Two synchronisation protocols:
-//   kCoarseLocking -- the paper's design: lock the heap path from the
-//       target down to the writer's leaf, copy, store, unlock.
+//   kCoarseLocking -- the paper's design, with the path locks taken
+//       lazily. The writer holds the target heap's lock throughout: it
+//       guards the target's bump pointer and pins the target object,
+//       since any task that promotes an object out of a heap holds
+//       that heap's lock. The part of the closure in the writer's own
+//       leaf is copied under that lock alone. No other running task
+//       can reach it: the leaf has no running descendants, its
+//       ancestors are blocked in fork2, and by the hierarchy invariant
+//       (plus the runtime-API contract) no sibling holds a pointer
+//       down into it. Only when the closure first reaches a heap
+//       strictly between the target and the leaf -- one a cousin may
+//       be promoting out of, or writing into, at the same time -- does
+//       the writer take the rest of the path's locks (shallow-first
+//       below the target, the one global order every path locker
+//       uses, so no deadlock) and re-chase under them.
+//       Stats::promo_escalations counts those promotions.
 //   kFineGrained   -- Section 5 future work: claim each object with a
 //       CAS on its forwarding word (kBusy while mid-copy) and bump the
 //       target heap under a spinlock; no path locks.
+//
+// Promotion allocates nothing of its own beyond the copies: its scan
+// queue starts inline and spills to the C++ heap only for closures of
+// more than ScanQueue::kInline objects.
 //
 // Programs are expected to be race-free at the language level (the
 // paper's deterministic fork-join setting); racing user mutation with
@@ -37,6 +55,32 @@ struct PromoteResult {
   std::uint64_t bytes = 0;     // bytes copied
 };
 
+// Copies not yet scanned, in copy order (Cheney-style breadth first).
+// The first kInline entries live in the queue itself, on the
+// promoter's stack, so promoting a small closure allocates nothing.
+class ScanQueue {
+ public:
+  static constexpr std::size_t kInline = 32;
+
+  void push(Object* o) {
+    if (n_ < kInline) {
+      inline_[n_] = o;
+    } else {
+      spill_.push_back(o);
+    }
+    ++n_;
+  }
+  Object* operator[](std::size_t i) const {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+  std::size_t size() const { return n_; }
+
+ private:
+  Object* inline_[kInline];
+  std::vector<Object*> spill_;
+  std::size_t n_ = 0;
+};
+
 // Copy `m` (chased, strictly deeper than dst) into dst. Caller holds
 // whatever lock the mode requires for dst's bump pointer.
 inline Object* copy_object_into(Object* m, Heap* dst) {
@@ -48,48 +92,98 @@ inline Object* copy_object_into(Object* m, Heap* dst) {
 
 // ---- coarse path-locking protocol -----------------------------------------
 
-inline PromoteResult promote_coarse_locked(Object* src, Heap* dst) {
-  PromoteResult res{nullptr};
-  std::uint32_t target_depth = dst->depth();
-  std::vector<Object*> scan;
+// The coarse protocol's locks for one promotion from `leaf` into
+// `dst`: dst's path lock from construction on, and the rest of the
+// path -- every heap below dst down to the leaf -- from the first
+// escalate(), taken shallow-first like every other path locker's.
+class LazyPathLock {
+ public:
+  LazyPathLock(Heap* leaf, Heap* dst) : leaf_(leaf), dst_(dst) {
+    dst_->path_lock().lock();
+  }
+  ~LazyPathLock() {
+    if (escalated_) {
+      for (Heap* h = leaf_; h != dst_; h = h->parent()) {
+        h->path_lock().unlock();
+      }
+    }
+    dst_->path_lock().unlock();
+  }
+  LazyPathLock(const LazyPathLock&) = delete;
+  LazyPathLock& operator=(const LazyPathLock&) = delete;
 
-  auto copy_one = [&](Object* m) {
-    Object* n = copy_object_into(m, dst);
-    m->set_fwd(n);  // release: publish before fields are fixed (Cheney)
-    scan.push_back(n);
+  Heap* target() const { return dst_; }
+  Heap* leaf() const { return leaf_; }
+  bool escalated() const { return escalated_; }
+
+  // A path is a handful of heaps, so each depth's heap is found by
+  // walking up from the leaf rather than by buffering the path.
+  void escalate() {
+    for (std::uint32_t d = dst_->depth() + 1; d <= leaf_->depth(); ++d) {
+      Heap* h = leaf_;
+      while (h->depth() != d) {
+        h = h->parent();
+      }
+      h->path_lock().lock();
+    }
+    escalated_ = true;
+  }
+
+ private:
+  Heap* leaf_;
+  Heap* dst_;
+  bool escalated_ = false;
+};
+
+// Promote the closure of `src` into locks.target(). Objects are
+// chased to their masters; a master in a heap strictly between the
+// target and the leaf escalates the locks first and is chased again
+// under them, since a cousin holding those locks may have moved it.
+inline PromoteResult promote_coarse_locked(Object* src, LazyPathLock& locks) {
+  PromoteResult res{nullptr};
+  Heap* dst = locks.target();
+  const std::uint32_t target_depth = dst->depth();
+  const std::uint32_t leaf_depth = locks.leaf()->depth();
+  ScanQueue scan;
+
+  // Master of `q`, copied into dst when it lives below it.
+  auto lift = [&](Object* q) {
+    q = Object::chase(q);
+    std::uint32_t depth = heap_of(q)->depth();
+    if (depth < leaf_depth && depth > target_depth && !locks.escalated()) {
+      locks.escalate();
+      q = Object::chase(q);
+      depth = heap_of(q)->depth();
+    }
+    if (depth <= target_depth) {
+      return q;
+    }
+    Object* n = copy_object_into(q, dst);
+    q->set_fwd(n);  // release: publish before fields are fixed (Cheney)
+    scan.push(n);
     res.objects += 1;
     res.bytes += n->size();
     return n;
   };
 
-  Object* root = Object::chase(src);
-  if (heap_of(root)->depth() > target_depth) {
-    root = copy_one(root);
-  }
+  res.master = lift(src);
   for (std::size_t i = 0; i < scan.size(); ++i) {
     Object* n = scan[i];
     std::uint32_t np = n->nptr();
     for (std::uint32_t j = 0; j < np; ++j) {
       Object* q = n->ptrs()[j];
-      if (q == nullptr) {
-        continue;
+      if (q != nullptr) {
+        n->set_ptr_relaxed(j, lift(q));
       }
-      q = Object::chase(q);
-      if (heap_of(q)->depth() > target_depth) {
-        q = copy_one(q);
-      }
-      n->set_ptr_relaxed(j, q);
     }
   }
-  res.master = root;
   return res;
 }
 
 // ---- fine-grained claim protocol ------------------------------------------
 
 inline Object* claim_and_copy_fine(Object* m, Heap* dst,
-                                   PromoteResult* res,
-                                   std::vector<Object*>* scan,
+                                   PromoteResult* res, ScanQueue* scan,
                                    StatsCell* stats) {
   std::uint32_t target_depth = dst->depth();
   for (;;) {
@@ -122,7 +216,7 @@ inline Object* claim_and_copy_fine(Object* m, Heap* dst,
     Object* n = copy_object_into(m, dst);  // bump within the reserve
     dst->remote_lock().unlock();
     m->set_fwd(n);  // replaces kBusy; releases waiting chasers
-    scan->push_back(n);
+    scan->push(n);
     res->objects += 1;
     res->bytes += n->size();
     return n;
@@ -131,7 +225,7 @@ inline Object* claim_and_copy_fine(Object* m, Heap* dst,
 
 inline PromoteResult promote_fine(Object* src, Heap* dst, StatsCell* stats) {
   PromoteResult res{nullptr};
-  std::vector<Object*> scan;
+  ScanQueue scan;
   res.master = claim_and_copy_fine(src, dst, &res, &scan, stats);
   for (std::size_t i = 0; i < scan.size(); ++i) {
     Object* n = scan[i];
@@ -147,33 +241,6 @@ inline PromoteResult promote_fine(Object* src, Heap* dst, StatsCell* stats) {
   }
   return res;
 }
-
-// Lock the heap path from `dst` (exclusive top) down to `leaf`,
-// shallow-first to keep a global acquisition order along tree paths.
-class PathLockGuard {
- public:
-  PathLockGuard(Heap* leaf, Heap* dst) {
-    for (Heap* h = leaf; h != nullptr; h = h->parent()) {
-      heaps_.push_back(h);
-      if (h == dst) {
-        break;
-      }
-    }
-    for (std::size_t i = heaps_.size(); i-- > 0;) {
-      heaps_[i]->path_lock().lock();
-    }
-  }
-  ~PathLockGuard() {
-    for (Heap* h : heaps_) {
-      h->path_lock().unlock();
-    }
-  }
-  PathLockGuard(const PathLockGuard&) = delete;
-  PathLockGuard& operator=(const PathLockGuard&) = delete;
-
- private:
-  std::vector<Heap*> heaps_;  // leaf-first (deepest to shallowest)
-};
 
 }  // namespace detail
 
@@ -212,20 +279,23 @@ inline void promote_and_store(Object* dst_obj, std::uint32_t idx, Object* v,
   detail::PromoteResult res{nullptr};
   if (mode == PromotionMode::kCoarseLocking) {
     // The destination object may itself be mid-promotion by a cousin;
-    // re-chase under the locks and restart if it moved above our lock
-    // span.
+    // re-chase under the target's lock and restart if it moved above
+    // that heap.
     for (;;) {
       Heap* dst_heap = heap_of(dst_obj = Object::chase(dst_obj));
-      detail::PathLockGuard guard(leaf, dst_heap);
+      detail::LazyPathLock locks(leaf, dst_heap);
       Object* d = Object::chase(dst_obj);
       if (heap_of(d) != dst_heap) {
         continue;  // moved while we were acquiring; retry at new depth
       }
-      res = detail::promote_coarse_locked(v, dst_heap);
+      res = detail::promote_coarse_locked(v, locks);
       d->set_ptr(idx, res.master);
       // Feed the internal-collection policy: this heap just grew by
       // remotely promoted bytes its owner never allocated.
       dst_heap->note_remote_bytes(res.bytes);
+      if (locks.escalated()) {
+        stats->promo_escalations.fetch_add(1, std::memory_order_relaxed);
+      }
       break;
     }
   } else {

@@ -28,6 +28,10 @@ struct Stats {
   std::uint64_t promoted_objects = 0;  // objects copied up by promotion
   std::uint64_t promoted_bytes = 0;    // bytes copied up by promotion
   std::uint64_t promo_claim_conflicts = 0;  // lost fine-grained CAS claims
+  // Coarse-mode promotions whose closure reached a heap between the
+  // target and the writer's leaf, so they locked that whole path
+  // instead of the target heap alone (core/promote.hpp).
+  std::uint64_t promo_escalations = 0;
   std::uint64_t gc_count = 0;          // collections (leaf or stop-the-world)
   std::uint64_t gc_bytes_copied = 0;   // live bytes evacuated by GC
   std::uint64_t gc_ns = 0;             // GC time; STW adds stopped workers
@@ -61,6 +65,7 @@ struct Stats {
     promoted_objects += o.promoted_objects;
     promoted_bytes += o.promoted_bytes;
     promo_claim_conflicts += o.promo_claim_conflicts;
+    promo_escalations += o.promo_escalations;
     gc_count += o.gc_count;
     gc_bytes_copied += o.gc_bytes_copied;
     gc_ns += o.gc_ns;
@@ -83,6 +88,7 @@ struct Stats {
     d.promoted_objects = promoted_objects - o.promoted_objects;
     d.promoted_bytes = promoted_bytes - o.promoted_bytes;
     d.promo_claim_conflicts = promo_claim_conflicts - o.promo_claim_conflicts;
+    d.promo_escalations = promo_escalations - o.promo_escalations;
     d.gc_count = gc_count - o.gc_count;
     d.gc_bytes_copied = gc_bytes_copied - o.gc_bytes_copied;
     d.gc_ns = gc_ns - o.gc_ns;
@@ -126,6 +132,7 @@ struct StatsCell {
   std::atomic<std::uint64_t> promoted_objects{0};
   std::atomic<std::uint64_t> promoted_bytes{0};
   std::atomic<std::uint64_t> promo_claim_conflicts{0};
+  std::atomic<std::uint64_t> promo_escalations{0};
   std::atomic<std::uint64_t> gc_count{0};
   std::atomic<std::uint64_t> gc_bytes_copied{0};
   std::atomic<std::uint64_t> gc_ns{0};
@@ -143,6 +150,7 @@ struct StatsCell {
     s.promoted_bytes = promoted_bytes.load(std::memory_order_relaxed);
     s.promo_claim_conflicts =
         promo_claim_conflicts.load(std::memory_order_relaxed);
+    s.promo_escalations = promo_escalations.load(std::memory_order_relaxed);
     s.gc_count = gc_count.load(std::memory_order_relaxed);
     s.gc_bytes_copied = gc_bytes_copied.load(std::memory_order_relaxed);
     s.gc_ns = gc_ns.load(std::memory_order_relaxed);

@@ -89,6 +89,7 @@ inline bool write(const std::string& path, const char* runtime,
       "\"counters\":{"
       "\"promotions\":%llu,\"promoted_objects\":%llu,"
       "\"promoted_bytes\":%llu,\"promo_claim_conflicts\":%llu,"
+      "\"promo_escalations\":%llu,"
       "\"gc_count\":%llu,\"gc_bytes_copied\":%llu,\"gc_ns\":%llu,"
       "\"forks\":%llu,\"internal_gc_count\":%llu,"
       "\"internal_gc_bytes\":%llu,\"global_gc_count\":%llu,"
@@ -98,6 +99,7 @@ inline bool write(const std::string& path, const char* runtime,
       static_cast<unsigned long long>(s.promoted_objects),
       static_cast<unsigned long long>(s.promoted_bytes),
       static_cast<unsigned long long>(s.promo_claim_conflicts),
+      static_cast<unsigned long long>(s.promo_escalations),
       static_cast<unsigned long long>(s.gc_count),
       static_cast<unsigned long long>(s.gc_bytes_copied),
       static_cast<unsigned long long>(s.gc_ns),

@@ -460,8 +460,10 @@ class LhRuntime {
     const std::uint64_t trace_t0 = traced ? trace::now_ns() : 0;
     detail::PromoteResult res;
     {
-      std::lock_guard<std::mutex> g(global_.path_lock());
-      res = detail::promote_coarse_locked(v, &global_);
+      // v lives in the writer's local heap, one level below global:
+      // no heap lies between the two, so the locks never escalate.
+      detail::LazyPathLock locks(heap_of(v), &global_);
+      res = detail::promote_coarse_locked(v, locks);
     }
     if (res.objects != 0) {
       stats_.local().promotions.fetch_add(1, std::memory_order_relaxed);

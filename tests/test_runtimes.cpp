@@ -107,6 +107,9 @@ PARMEM_TEST(usp_tree_promotes_per_visitation) {
   // least half the cells must have promoted.
   CHECK(rt.stats().promotions >
         static_cast<std::uint64_t>(z.usp_side * z.usp_side) / 2);
+  // Each visit lifts one fresh node from the writer's own leaf, so no
+  // coarse promotion needs a lock below the target heap.
+  CHECK_EQ(rt.stats().promo_escalations, 0u);
 }
 
 // The stop-the-world runtime must actually run whole-world collections
