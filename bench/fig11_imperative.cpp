@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\ncolumns as in Figure 10; promoMB = data promoted by "
-      "mlton-parmem at P procs (usp-tree promotes per visitation; "
+      "mlton-parmem at P procs (usp-tree promotes per visitation run in "
+      "a child heap; "
       "multi-usp-tree promotions can run in parallel)\n");
   if (mismatches != 0) {
     std::printf("!! %d checksum mismatch(es)\n", mismatches);

@@ -110,8 +110,7 @@ void BM_ReadMutablePromoted(benchmark::State& state) {
 }
 BENCHMARK(BM_ReadMutablePromoted);
 
-void BM_Fork2ScalarOverhead(benchmark::State& state) {
-  HierRuntime rt;
+void fork2_scalar_loop(benchmark::State& state, HierRuntime& rt) {
   rt.run([&state](Ctx& ctx) {
     for (auto _ : state) {
       auto [a, b] = HierRuntime::fork2(
@@ -122,7 +121,23 @@ void BM_Fork2ScalarOverhead(benchmark::State& state) {
     return 0;
   });
 }
+
+// One worker per hardware thread: an idle worker that is spinning
+// rather than parked steals the trivial right branch, so this row
+// swings between fork2's own cost and a cross-core steal round trip
+// from one runtime instance to the next.
+void BM_Fork2ScalarOverhead(benchmark::State& state) {
+  HierRuntime rt;
+  fork2_scalar_loop(state, rt);
+}
 BENCHMARK(BM_Fork2ScalarOverhead);
+
+// One worker: nothing is stolen, so this is fork2's own cost.
+void BM_Fork2ScalarOverheadOneWorker(benchmark::State& state) {
+  HierRuntime rt({.workers = 1});
+  fork2_scalar_loop(state, rt);
+}
+BENCHMARK(BM_Fork2ScalarOverheadOneWorker);
 
 void BM_PromoteSmallObject(benchmark::State& state) {
   HierRuntime rt;

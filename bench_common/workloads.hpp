@@ -546,9 +546,10 @@ std::uint64_t usp_bfs(typename RT::Ctx& c, const Local& dist,
       break;
     }
     // Always apply through at least one fork so visitations run in
-    // CHILD tasks: that is what makes each usp-tree visit an entangling
-    // (promoting) write under hierarchical heaps, whatever the frontier
-    // size.
+    // CHILD tasks: under hierarchical heaps that makes each usp-tree
+    // visit of the left half (and of a stolen right half) an
+    // entangling (promoting) write, whatever the frontier size. An
+    // unstolen right half runs in this task's heap and writes locally.
     std::size_t half = found.size() / 2;
     RT::fork2(
         c, {dist, aux},

@@ -97,6 +97,12 @@ class HeapRecord {
 class HeapArena {
  public:
   explicit HeapArena(ChunkPool& pool) : pool_(&pool) {}
+  // Newest first, so every record dies before the parent it names.
+  ~HeapArena() {
+    while (!records_.empty()) {
+      records_.pop_back();
+    }
+  }
   HeapArena(const HeapArena&) = delete;
   HeapArena& operator=(const HeapArena&) = delete;
 

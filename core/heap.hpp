@@ -528,12 +528,25 @@ class ChunkPool {
 class Heap {
  public:
   Heap(Heap* parent, std::uint32_t depth, ChunkPool* pool)
-      : parent_(parent), depth_(depth), pool_(pool) {}
+      : parent_(parent), depth_(depth), pool_(pool) {
+#ifndef NDEBUG
+    if (parent_ != nullptr) {
+      parent_->live_children_.fetch_add(1, std::memory_order_relaxed);
+    }
+#endif
+  }
   Heap(const Heap&) = delete;
   Heap& operator=(const Heap&) = delete;
 
   ~Heap() {
     release_all_chunks();
+#ifndef NDEBUG
+    assert(live_children_.load(std::memory_order_relaxed) == 0 &&
+           "a heap must outlive its children");
+    if (parent_ != nullptr) {
+      parent_->live_children_.fetch_sub(1, std::memory_order_relaxed);
+    }
+#endif
 #if defined(PARMEM_TSAN)
     // Heaps live in fork2 stack frames, so a dead heap's address is
     // promptly reused by another heap at a different depth. glibc's
@@ -554,6 +567,15 @@ class Heap {
   std::mutex& path_lock() { return lock_; }
   SpinLock& remote_lock() { return remote_lock_; }
   ChunkPool* pool() const { return pool_; }
+
+#ifndef NDEBUG
+  // Heaps constructed with this one as their parent and not yet
+  // destroyed (Debug builds only): fork2 asserts that a right branch it
+  // runs inline, in this heap, has no sibling subtree still running.
+  int live_children() const {
+    return live_children_.load(std::memory_order_relaxed);
+  }
+#endif
 
   // True when `anc` lies strictly above this heap on its root path --
   // the descendant-enumeration test used by hierarchy-aware internal
@@ -809,6 +831,9 @@ class Heap {
   Heap* parent_;
   std::uint32_t depth_;
   ChunkPool* pool_;
+#ifndef NDEBUG
+  std::atomic<int> live_children_{0};  // see live_children()
+#endif
 
   // Owner-hot bump group, isolated on its own cache line: everything
   // the inline alloc fast path (try_bump/bump_alloc) and the chunk

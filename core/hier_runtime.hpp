@@ -11,10 +11,13 @@
 //                          leaf-local path; locking/promotion only on
 //                          entangling stores into ancestor heaps
 //
-// fork2 splits the current leaf into two child leaves on a
-// work-stealing pool and merges them back at the join -- child objects
-// keep their addresses, so results flow to the parent without copying
-// and balanced programs promote nothing.
+// fork2 runs its left branch in a fresh child leaf of the current leaf
+// heap and pushes the right branch on a work-stealing pool. Unstolen
+// (the common case), the right branch runs after the left one, in the
+// current heap, once the left heap has been merged into it; a thief
+// builds the right branch a child leaf of its own instead, merged back
+// at the join. Merged objects keep their addresses, so results flow to
+// the parent without copying and balanced programs promote nothing.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include <exception>
 #include <initializer_list>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -362,8 +366,9 @@ class HierRuntime {
     PromotionMode mode_;
     RootFrame* frames_ = nullptr;
     // Registry links, written only when sp_enabled_ registers this Ctx.
-    // Deliberately NOT initialised: fork2 makes two Ctxs per call, and
-    // dead stores here show up in the fork row.
+    // Deliberately NOT initialised: fork2 makes a Ctx per call (and a
+    // thief one more per stolen branch), and dead stores here show up
+    // in the fork row.
     CtxRegistry<Ctx>::Link reg_;
   };
 
@@ -427,12 +432,20 @@ class HierRuntime {
     return f(ctx);
   }
 
-  // Fork-join: split the current leaf heap, run f and g in parallel in
-  // fresh child leaves, merge both back (objects keep their
-  // addresses), and return {f result, g result}. A void branch yields
-  // std::monostate in its pair slot. `roots` documents the parent
-  // locals both branches may touch; their slots stay valid because
-  // they live in the parent's frames.
+  // Fork-join: run f in a fresh child leaf of the current leaf heap and
+  // g after it, or in parallel with it on a thief; merge the children
+  // back (objects keep their addresses), and return {f result, g
+  // result}. A void branch yields std::monostate in its pair slot.
+  // `roots` documents the parent locals both branches may touch; their
+  // slots stay valid because they live in the parent's frames.
+  //
+  // Only the left branch gets its heap up front. The right branch is
+  // pushed without one: a thief builds its depth + 1 heap and context
+  // (ChildLeaf), while an unstolen right branch -- almost all of them
+  // -- runs on the forker's own context, in the parent heap, once the
+  // left heap has been merged into it. That keeps the hierarchy
+  // invariant: the left subtree has joined, so nothing else below the
+  // parent heap is running, and the parent heap is a leaf again.
   template <class F, class G>
   static auto fork2(Ctx& ctx, std::initializer_list<Local> roots, F&& f,
                     G&& g) {
@@ -444,10 +457,8 @@ class HierRuntime {
     rt->stats_.local().forks.fetch_add(1, std::memory_order_relaxed);
     Heap* parent = ctx.heap_;
 
-    Heap heap_a(parent, parent->depth() + 1, &rt->chunks_);
-    Heap heap_b(parent, parent->depth() + 1, &rt->chunks_);
-    Ctx ctx_a(rt, &heap_a, &ctx);
-    Ctx ctx_b(rt, &heap_b, &ctx);
+    ChildLeaf left(ctx);
+    Ctx& ctx_a = left.open();
 
     // Both result channels push a Local onto the PARENT's frame chain
     // (a plain-pointer list stopped-world collections scan), so they
@@ -456,8 +467,8 @@ class HierRuntime {
     // walking the chain. Spawning before deactivating is fine: the
     // parent never blocks until the join.
     rtapi::ResultChannel<Ctx, RA> ch_a(ctx);
-    rtapi::SpawnedBranch<Ctx, std::remove_reference_t<G>> task_b(
-        &rt->pool_, g, ctx_b, ctx);
+    rtapi::SpawnedBranch<Ctx, std::remove_reference_t<G>, ChildLeaf> task_b(
+        &rt->pool_, g, ctx);
 
     const bool sp = rt->sp_enabled_;
     if (__builtin_expect(sp, 0)) {
@@ -472,34 +483,41 @@ class HierRuntime {
       err_a = std::current_exception();
     }
     ctx_a.branch_exit();
-    task_b.join(err_a != nullptr);
 
-    if (__builtin_expect(sp, 0)) {
-      rt->fork_exit_reactivate();
-    }
-
-    parent->merge_from(heap_a);
-    parent->merge_from(heap_b);
-    const Options& o = rt->opts_;
-    if (__builtin_expect(o.gc_join_threshold != 0 || o.gc_stress, 0)) {
-      if (o.gc_stress || parent->allocated_bytes() >= o.gc_join_threshold) {
-        // Join-time subtree collection: the two-sibling subtree just
-        // merged into `parent` is quiesced (both branches joined), so
-        // it can be evacuated here -- by a team when gc_parallel_team
-        // asks for one (stopped_collect_heap applies it). GC-stress
-        // forces it at every join. Both trigger conditions imply
-        // sp_enabled_ (see the constructor), so the collection always
-        // stops the world and roots from EVERY task's frames.
-        assert(sp && "join collection without the safepoint machinery");
-        rt->stopped_join_collect(&ctx);
+    if (__builtin_expect(task_b.reclaim(), 1)) {
+      // Unstolen. The order is load-bearing: back in the running set
+      // first (so the merge cannot race a stop), then the merge, and
+      // only then g -- a collection g triggers must find the left
+      // heap's objects, whose pointers up into the parent heap it
+      // rewrites, already in the heap it collects.
+      if (__builtin_expect(sp, 0)) {
+        rt->fork_resume_inline();
       }
-    } else if (ctx.over_budget()) {
-      // The merged heap is a leaf again, and its owner collects it
-      // alone, as on the allocation slow path: fork2 is a point where
-      // no raw Object* may be held, and the branches' results sit in
-      // the result channels' Locals, so they are rewritten if moved.
-      join_collect(ctx);
+      parent->merge_from(left.heap());
+      left.close();
+      assert(parent->live_children() == 0 &&
+             "an inline right branch must run in a leaf heap");
+      if (err_a == nullptr) {
+        // The merge is a join of its own, checked at half the budget:
+        // whatever this heap holds now stays pinned while g's left
+        // subtrees run, where no collection reaches it. Unchecked, a
+        // right spine of inline branches absorbs one left heap per
+        // level on the way down and meets the budget only on the way
+        // back up; checked at the full budget, every heap along the
+        // running path can pin nearly a budget of garbage.
+        join_gc(ctx, /*share=*/2);
+        task_b.run_on(ctx);
+      }
+    } else {
+      task_b.wait();
+      if (__builtin_expect(sp, 0)) {
+        rt->fork_exit_reactivate();
+      }
+      parent->merge_from(left.heap());
+      parent->merge_from(task_b.home().heap());
     }
+
+    join_gc(ctx, /*share=*/1);
 
     if (err_a) {
       std::rethrow_exception(err_a);
@@ -519,6 +537,49 @@ class HierRuntime {
   }
 
  private:
+  // A child leaf of a forking context: a depth + 1 heap and the context
+  // that allocates in it, built in place by open() and torn down by
+  // close() or at scope exit. fork2 opens its left branch's at once.
+  // Its right branch's is the branch's rtapi::SpawnedBranch Home: only
+  // a thief opens it, in the spawned task on the forker's stack, so the
+  // context registers under the thief's worker index. The forker merges
+  // the heap after the join; the context stays registered (stopped
+  // collections see the heap) until the leaf closes.
+  class ChildLeaf {
+   public:
+    explicit ChildLeaf(Ctx& parent) : parent_(&parent) {}
+    ~ChildLeaf() { close(); }
+    ChildLeaf(const ChildLeaf&) = delete;
+    ChildLeaf& operator=(const ChildLeaf&) = delete;
+
+    Ctx& open() {
+      HierRuntime* rt = parent_->rt_;
+      Heap* p = parent_->heap_;
+      new (&heap_) Heap(p, p->depth() + 1, &rt->chunks_);
+      new (&ctx_) Ctx(rt, &heap_, parent_);
+      open_ = true;
+      return ctx_;
+    }
+    void close() {
+      if (open_) {
+        ctx_.~Ctx();
+        heap_.~Heap();
+        open_ = false;
+      }
+    }
+    Heap& heap() { return heap_; }  // while open
+
+   private:
+    Ctx* parent_;
+    bool open_ = false;
+    union {
+      Heap heap_;
+    };
+    union {
+      Ctx ctx_;
+    };
+  };
+
   std::size_t effective_internal_threshold() const {
     return opts_.gc_stress ? 1 : opts_.gc_internal_threshold;
   }
@@ -542,6 +603,45 @@ class HierRuntime {
   // deactivates.
   __attribute__((noinline)) void fork_exit_reactivate() {
     gate_.activate(pool_.current_index());
+  }
+  // Exit into an unstolen right branch: reactivate, then a safepoint.
+  // The right branch's start is a safepoint like a thief's first
+  // allocation in a fresh heap; under GC-stress that is where internal
+  // collections find the heaps the left branch promoted into.
+  __attribute__((noinline)) void fork_resume_inline() {
+    fork_exit_reactivate();
+    safepoint();
+  }
+
+  // The collection policy of a join, run on the forker's context once
+  // its heap has absorbed a joined child heap; `share` divides the
+  // collection budget and the join threshold.
+  static void join_gc(Ctx& ctx, unsigned share) {
+    HierRuntime* rt = ctx.rt_;
+    const Options& o = rt->opts_;
+    Heap* h = ctx.heap_;
+    if (__builtin_expect(o.gc_join_threshold != 0 || o.gc_stress, 0)) {
+      if (o.gc_stress ||
+          h->allocated_bytes() >= o.gc_join_threshold / share) {
+        // Join-time subtree collection: the subtree just merged into
+        // the heap is quiesced (its branches joined), so it can be
+        // evacuated here -- by a team when gc_parallel_team asks for
+        // one (stopped_collect_heap applies it). GC-stress forces it at
+        // every join. Both trigger conditions imply sp_enabled_ (see
+        // the constructor), so the collection always stops the world
+        // and roots from EVERY task's frames.
+        assert(rt->sp_enabled_ &&
+               "join collection without the safepoint machinery");
+        rt->stopped_join_collect(&ctx);
+      }
+    } else if (h->over_gc_budget(o.gc_min_budget / share,
+                                 o.gc_growth_factor / share)) {
+      // The merged heap is a leaf again, and its owner collects it
+      // alone, as on the allocation slow path: fork2 is a point where
+      // no raw Object* may be held, and the branches' results sit in
+      // the result channels' Locals, so they are rewritten if moved.
+      join_collect(ctx);
+    }
   }
 
   // Over-budget join without a stopped join collection: a leaf

@@ -403,7 +403,7 @@ class LhRuntime {
     rtapi::ResultChannel<Ctx, RA> ch_a(ctx);
     Ctx ctx_b(rt);
     rtapi::SpawnedBranch<Ctx, std::remove_reference_t<G>> task_b(
-        &rt->pool_, g, ctx_b, ctx);
+        &rt->pool_, g, ctx, ctx_b);
 
     // The left branch is the continuation: it stays on this worker and
     // shares the parent's local heap, so the parent context serves it

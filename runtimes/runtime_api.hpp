@@ -183,38 +183,63 @@ class ResultChannel {
       out_;
 };
 
+// Where a spawned branch runs: the context fork2 built for it up front
+// (stw, localheap). hier passes a home that builds the branch's heap
+// and context only when a thief takes the branch
+// (HierRuntime::ChildLeaf).
+template <class Ctx>
+class ReadyHome {
+ public:
+  ReadyHome(Ctx& /*parent*/, Ctx& branch) : ctx_(&branch) {}
+  Ctx& open() { return *ctx_; }
+
+ private:
+  Ctx* ctx_;
+};
+
 // The spawn/join half of fork2, shared by every runtime: push the
-// right branch at construction, then join() after the left branch ran
-// -- popping it back for inline execution when unstolen (the common
-// case), helping steal otherwise. Per-runtime work around a branch's
-// execution (bind to a worker heap, enter/leave the STW running set)
-// goes in Ctx::branch_enter()/branch_exit(), which run on the thread
-// that actually executes the branch.
+// right branch at construction, then join after the left branch ran.
+// An unstolen branch (the common case) is popped back and run inline;
+// a stolen one is waited for, helping steal meanwhile. Two ways to run
+// it:
+//
+//   * join() runs an unstolen branch on its home context, like a
+//     thief would (stw, localheap);
+//   * reclaim() + run_on(ctx) run it on the forker's own context,
+//     and wait() joins a stolen one (hier: the right branch then
+//     allocates in the parent's heap, and only a thief pays for a
+//     heap of its own).
+//
+// A thief runs execute(): Home::open() yields the context (building it
+// there, for hier), bound to the thief. Per-runtime work around a
+// thief's execution (bind to a worker heap, enter/leave the running
+// set) goes in Ctx::branch_enter()/branch_exit(), which run on the
+// thread that executes the branch.
 //
 // `parent` is the forking context: it owns the rooted result slot
 // (see ResultChannel) and must outlive the join. Stack-allocated by
 // fork2 and joined before the frame dies, exactly like the tasks
 // core/sched.hpp documents.
-template <class Ctx, class G>
+template <class Ctx, class G, class Home = ReadyHome<Ctx>>
 class SpawnedBranch final : public WorkStealPool::Task {
  public:
   using RB = BranchResult<G, Ctx>;
 
-  SpawnedBranch(WorkStealPool* pool, G& g, Ctx& ctx, Ctx& parent)
-      : pool_(pool), g_(&g), ctx_(&ctx), chan_(parent) {
+  // `home_args` follow `parent` into Home's constructor.
+  template <class... HomeArgs>
+  SpawnedBranch(WorkStealPool* pool, G& g, Ctx& parent,
+                HomeArgs&... home_args)
+      : pool_(pool), g_(&g), home_(parent, home_args...), chan_(parent) {
     pool_->push(this);
   }
   SpawnedBranch(const SpawnedBranch&) = delete;
   SpawnedBranch& operator=(const SpawnedBranch&) = delete;
 
   void execute() override {
-    ctx_->branch_enter();
-    try {
-      chan_.store(*ctx_, invoke_branch(*g_, *ctx_));
-    } catch (...) {
-      err_ = std::current_exception();
-    }
-    ctx_->branch_exit();
+    Ctx& c = home_.open();
+    c.branch_enter();
+    run_on(c);
+    c.branch_exit();
     done_.store(true, std::memory_order_release);
   }
 
@@ -223,23 +248,40 @@ class SpawnedBranch final : public WorkStealPool::Task {
   // threw (matching the sequential semantics of rethrowing the first
   // error).
   void join(bool left_failed) {
-    if (pool_->cancel(this)) {
+    if (reclaim()) {
       if (!left_failed) {
         execute();
       }
     } else {
-      pool_->help_until(
-          [this] { return done_.load(std::memory_order_acquire); });
+      wait();
     }
   }
 
+  // Pop the branch back off the deque: true when no thief took it, and
+  // the caller must run it (or skip it) itself.
+  bool reclaim() { return pool_->cancel(this); }
+  // Run the branch on `c`, a context already in its runtime's running
+  // set, capturing its result or error.
+  void run_on(Ctx& c) {
+    try {
+      chan_.store(c, invoke_branch(*g_, c));
+    } catch (...) {
+      err_ = std::current_exception();
+    }
+  }
+  // A thief took the branch: help until it finished.
+  void wait() {
+    pool_->help_until([this] { return done_.load(std::memory_order_acquire); });
+  }
+
+  Home& home() { return home_; }
   std::exception_ptr error() const { return err_; }
   RB take_result() { return chan_.take(); }
 
  private:
   WorkStealPool* pool_;
   G* g_;
-  Ctx* ctx_;
+  Home home_;
   ResultChannel<Ctx, RB> chan_;
   std::exception_ptr err_;
   std::atomic<bool> done_{false};

@@ -216,7 +216,7 @@ class StwRuntime {
     // never blocks until the join below.
     rtapi::ResultChannel<Ctx, RA> ch_a(ctx);
     rtapi::SpawnedBranch<Ctx, std::remove_reference_t<G>> task_b(
-        &rt->pool_, g, ctx_b, ctx);
+        &rt->pool_, g, ctx, ctx_b);
 
     // The parent now leaves the running set: a pending collection must
     // never wait on a task that is blocked in fork2 rather than parked

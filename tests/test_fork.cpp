@@ -3,8 +3,11 @@
 // keeps child-allocated objects alive at stable addresses, and the
 // rooted result channel that keeps raw Object* returns valid across
 // collections inside the join window.
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "core/hier_runtime.hpp"
 #include "runtimes/localheap_runtime.hpp"
@@ -119,6 +122,134 @@ PARMEM_TEST(fork2_nested_depth) {
     return Rec::go(ctx, 6);
   });
   CHECK_EQ(r, 64);
+}
+
+// At one worker nothing is stolen: the left branch runs in a fresh
+// child of the forker's heap, and the right branch runs on the forker's
+// own context, in the forker's heap, after the left heap was merged.
+PARMEM_TEST(fork2_unstolen_right_runs_in_forker_heap) {
+  HierRuntime::Options opts;
+  opts.workers = 1;
+  HierRuntime rt(opts);
+  rt.run([](Ctx& ctx) {
+    Heap* forker = ctx.leaf_heap();
+    HierRuntime::fork2(
+        ctx, {},
+        [forker](Ctx& c) {
+          CHECK(c.leaf_heap() != forker);
+          CHECK(c.leaf_heap()->parent() == forker);
+          CHECK_EQ(c.leaf_heap()->depth(), forker->depth() + 1);
+          return 0;
+        },
+        [&ctx, forker](Ctx& c) {
+          CHECK(&c == &ctx);
+          CHECK(c.leaf_heap() == forker);
+          return 0;
+        });
+    return 0;
+  });
+}
+
+// A stolen right branch gets a depth + 1 heap of its own, built on the
+// thief, and its context registers there: snapshot_heaps() (populated
+// under GC-stress) sees it while the branch runs.
+PARMEM_TEST(fork2_stolen_right_gets_own_heap) {
+  HierRuntime::Options opts;
+  opts.workers = 2;
+  opts.gc_stress = true;
+  HierRuntime rt(opts);
+  rt.run([&rt](Ctx& ctx) {
+    Heap* forker = ctx.leaf_heap();
+    const std::thread::id forker_thread = std::this_thread::get_id();
+    test::StealRendezvous steal;
+    auto [left_heap, right_heap] = HierRuntime::fork2(
+        ctx, {},
+        [&steal](Ctx& c) {
+          steal.await(c);
+          return c.leaf_heap();
+        },
+        [&](Ctx& c) {
+          steal.arrive();
+          CHECK(std::this_thread::get_id() != forker_thread);
+          Heap* h = c.leaf_heap();
+          CHECK(h != forker);
+          CHECK(h->parent() == forker);
+          CHECK_EQ(h->depth(), forker->depth() + 1);
+          std::vector<Heap*> heaps = rt.snapshot_heaps();
+          CHECK(std::find(heaps.begin(), heaps.end(), h) != heaps.end());
+          return h;
+        });
+    CHECK(left_heap != right_heap);
+    return 0;
+  });
+}
+
+// The left branch returns an object pointing up into the parent heap,
+// and the right branch, run inline in the parent heap, collects it.
+// The left heap was merged first, so the collection rewrites that
+// up-pointer to the relocated parent object; collected before the
+// merge, the pointer would be left dangling into from-space.
+PARMEM_TEST(fork2_inline_right_collects_merged_left_heap) {
+  HierRuntime::Options opts;
+  opts.workers = 1;
+  HierRuntime rt(opts);
+  rt.run([](Ctx& ctx) {
+    RootFrame frame(ctx);
+    Local target = frame.local(ctx.alloc(0, 1));
+    Ctx::init_i64(target.get(), 0, 42);
+    const Object* before = target.get();
+    auto [up, r] = HierRuntime::fork2(
+        ctx, {target},
+        [target](Ctx& c) {
+          Object* o = c.alloc(1, 0);
+          Ctx::init_ptr(o, 0, target.get());
+          return o;
+        },
+        [](Ctx& c) {
+          c.collect_now();
+          return 0;
+        });
+    (void)r;
+    CHECK(target.get() != before);  // the collection moved it
+    CHECK(Ctx::read_ptr(up, 0) == target.get());
+    CHECK_EQ(Ctx::read_i64_mut(Ctx::read_ptr(up, 0), 0), 42);
+    return 0;
+  });
+}
+
+// A left branch that throws while the right branch is still unstolen:
+// the right branch never runs, and the left heap's garbage, merged into
+// the parent, is reclaimed by the parent's next collection.
+PARMEM_TEST(fork2_left_throw_skips_unstolen_right) {
+  HierRuntime::Options opts;
+  opts.workers = 1;
+  HierRuntime rt(opts);
+  rt.run([&rt](Ctx& ctx) {
+    const std::size_t before = rt.live_bytes();
+    bool right_ran = false;
+    bool caught = false;
+    try {
+      HierRuntime::fork2(
+          ctx, {},
+          [](Ctx& c) -> int {
+            for (int i = 0; i < 1000; ++i) {
+              Ctx::init_i64(c.alloc(0, 2), 0, i);
+            }
+            throw std::runtime_error("left");
+          },
+          [&right_ran](Ctx&) {
+            right_ran = true;
+            return 0;
+          });
+    } catch (const std::runtime_error& e) {
+      caught = std::string(e.what()) == "left";
+    }
+    CHECK(caught);
+    CHECK(!right_ran);
+    ctx.collect_now();
+    CHECK_EQ(rt.live_bytes(), before);
+    return 0;
+  });
 }
 
 PARMEM_TEST(fork2_void_branches) {

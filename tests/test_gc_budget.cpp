@@ -84,7 +84,9 @@ PARMEM_TEST(join_budget_rope_map_copies_survivors_once) {
 
 // A branch may return a raw Object*. When the merged heap is over
 // budget, the join collects it and moves the object; the result
-// channel's Local is a root, so the parent gets the new address.
+// channel's Local is a root, so the parent gets the new address. The
+// right branch is forced onto the other worker, so both branches fill
+// heaps of their own and meet the budget only once merged.
 PARMEM_TEST(join_budget_raw_return_relocated) {
   HierRuntime::Options opts;
   opts.workers = 2;
@@ -120,9 +122,17 @@ PARMEM_TEST(join_budget_raw_return_relocated) {
     Object* before_a = nullptr;
     Object* before_b = nullptr;
     std::uint64_t gcs = ctx.runtime().stats().gc_count;
+    test::StealRendezvous steal;
     auto [a, b] = HierRuntime::fork2(
-        ctx, {}, [&](Ctx& c) { return branch(c, 1000, &before_a); },
-        [&](Ctx& c) { return branch(c, 5000, &before_b); });
+        ctx, {},
+        [&](Ctx& c) {
+          steal.await(c);
+          return branch(c, 1000, &before_a);
+        },
+        [&](Ctx& c) {
+          steal.arrive();
+          return branch(c, 5000, &before_b);
+        });
     CHECK(ctx.runtime().stats().gc_count > gcs);
     CHECK(a != before_a);
     CHECK(b != before_b);

@@ -128,7 +128,9 @@ PARMEM_TEST(promote_diamond_cycle_fine) {
 
 // Both children repeatedly promote fresh objects into their own slot
 // of a shared parent array: exercises concurrent promotion into one
-// ancestor heap under each protocol.
+// ancestor heap under each protocol. The right branch is forced onto
+// the other worker, so it runs in a child heap of its own (unstolen, it
+// would run in the parent heap, and its writes would not promote).
 void concurrent_promotion_scenario(PromotionMode mode) {
   HierRuntime::Options opts;
   opts.workers = 2;
@@ -149,9 +151,17 @@ void concurrent_promotion_scenario(PromotionMode mode) {
       }
       return last;
     };
+    test::StealRendezvous steal;
     auto [l, r] = HierRuntime::fork2(
-        ctx, {slots}, [&hammer](Ctx& c) { return hammer(c, 0); },
-        [&hammer](Ctx& c) { return hammer(c, 1); });
+        ctx, {slots},
+        [&](Ctx& c) {
+          steal.await(c);
+          return hammer(c, 0);
+        },
+        [&](Ctx& c) {
+          steal.arrive();
+          return hammer(c, 1);
+        });
     CHECK_EQ(l, kIters - 1);
     CHECK_EQ(r, kIters - 1);
     CHECK_EQ(Ctx::read_i64_mut(Ctx::read_ptr(slots.get(), 0), 0), kIters - 1);
@@ -243,10 +253,11 @@ PARMEM_TEST(promote_intermediate_heap_fine) {
 // and B one into midbox[i]; both closures reach depth 2, strictly
 // between their targets and leaves. A promotion that locked only its
 // target heap would let A (holding depth 0) and B (holding depth 1)
-// copy mids[i] at once, leaving two masters. The two branches step
-// through the rounds in lockstep, so the promotions overlap; if one
-// branch waits too long (it was not stolen, or a collection is
-// stopping the world) both fall back to running freely.
+// copy mids[i] at once, leaving two masters. B is forced onto the other
+// worker (unstolen, it would run in c2's heap, at depth 2), and the two
+// branches step through the rounds in lockstep, so the promotions
+// overlap; if one branch waits too long (a collection is stopping the
+// world) both fall back to running freely.
 void intermediate_race_scenario(PromotionMode mode) {
   constexpr std::uint32_t kObjs = 4000;
   constexpr int kSpinLimit = 1 << 18;
@@ -284,17 +295,18 @@ void intermediate_race_scenario(PromotionMode mode) {
     rendezvous(side, kObjs);
     return std::int64_t{0};
   };
-  rt.run([&race](Ctx& ctx) {
+  test::StealRendezvous steal;
+  rt.run([&race, &steal](Ctx& ctx) {
     RootFrame frame(ctx);
     Local top = frame.local(ctx.alloc(kObjs, 0));
     HierRuntime::fork2(
         ctx, {top},
-        [&race, top](Ctx& c1) {
+        [&race, &steal, top](Ctx& c1) {
           RootFrame f1(c1);
           Local midbox = f1.local(c1.alloc(kObjs, 0));
           HierRuntime::fork2(
               c1, {top, midbox},
-              [&race, top, midbox](Ctx& c2) {
+              [&race, &steal, top, midbox](Ctx& c2) {
                 RootFrame f2(c2);
                 Local mids = f2.local(c2.alloc(kObjs, 0));
                 for (std::uint32_t i = 0; i < kObjs; ++i) {
@@ -305,10 +317,12 @@ void intermediate_race_scenario(PromotionMode mode) {
                 CHECK_EQ(heap_of(mids.get())->depth(), 2u);
                 HierRuntime::fork2(
                     c2, {top, midbox, mids},
-                    [&race, top, mids](Ctx& a) {
+                    [&race, &steal, top, mids](Ctx& a) {
+                      steal.await(a);
                       return race(a, 0, top, mids, 0);
                     },
-                    [&race, midbox, mids](Ctx& b) {
+                    [&race, &steal, midbox, mids](Ctx& b) {
+                      steal.arrive();
                       return race(b, 1, midbox, mids, 1);
                     });
                 // One master per object, reached from every copy.

@@ -3,6 +3,7 @@
 // the guarantee that makes fig10-fig13's comparisons meaningful.
 // Plus regression tests for the behaviours that distinguish the
 // runtimes (promotion volume, STW cycles, small starter chunks).
+#include <algorithm>
 #include <cstdint>
 
 #include "bench_common/workloads.hpp"
@@ -93,23 +94,43 @@ PARMEM_TEST(localheap_promotes_pure_kernels_hier_does_not) {
 }
 
 // usp-tree's visitation writes must entangle and promote under
-// hierarchical heaps (one promotion per visited cell), while plain usp
-// (scalar distances only) must not promote at all.
+// hierarchical heaps (one promotion per cell visited outside the root
+// task's heap), while plain usp (scalar distances only) must not
+// promote at all. Each BFS level applies its frontier through one
+// fork2, whose halves are below the apply grain at this size: the left
+// half runs in a child heap and promotes every visit, and an unstolen
+// right half runs in the root task's heap and promotes none. At one
+// worker nothing is stolen, so the count is exactly half of every
+// frontier; at two, stolen right halves promote as well.
 PARMEM_TEST(usp_tree_promotes_per_visitation) {
   Sizes z = tiny_sizes();
   z.usp_side = 10;
-  HierRuntime rt(HierRuntime::Options{.workers = 2});
-  (void)bench_usp(rt, z);
-  CHECK_EQ(rt.stats().promotions, 0u);
-  (void)bench_usp_tree(rt, z);
-  // Every cell except those visited from the root task's own leaf
-  // promotes; with workers the frontier is spread across tasks, so at
-  // least half the cells must have promoted.
-  CHECK(rt.stats().promotions >
-        static_cast<std::uint64_t>(z.usp_side * z.usp_side) / 2);
-  // Each visit lifts one fresh node from the writer's own leaf, so no
-  // coarse promotion needs a lock below the target heap.
-  CHECK_EQ(rt.stats().promo_escalations, 0u);
+  // The BFS from cell 0 of the grid reaches the anti-diagonal x + y = k
+  // at level k - 1.
+  const std::int64_t last = 2 * (z.usp_side - 1);
+  std::uint64_t left_halves = 0;
+  for (std::int64_t k = 1; k <= last; ++k) {
+    left_halves += static_cast<std::uint64_t>(std::min(k, last - k) + 1) / 2;
+  }
+  const auto visits = static_cast<std::uint64_t>(z.usp_side * z.usp_side - 1);
+  for (unsigned w : {1u, 2u}) {
+    HierRuntime::Options opts;
+    opts.workers = w;
+    HierRuntime rt(opts);
+    (void)bench_usp(rt, z);
+    CHECK_EQ(rt.stats().promotions, 0u);
+    (void)bench_usp_tree(rt, z);
+    const Stats s = rt.stats();
+    if (w == 1) {
+      CHECK_EQ(s.promotions, left_halves);
+    } else {
+      CHECK(s.promotions >= left_halves);
+      CHECK(s.promotions <= visits);
+    }
+    // Each visit lifts one fresh node from the writer's own leaf, so no
+    // coarse promotion needs a lock below the target heap.
+    CHECK_EQ(s.promo_escalations, 0u);
+  }
 }
 
 // The stop-the-world runtime must actually run whole-world collections

@@ -3,10 +3,12 @@
 // or all of them.
 #pragma once
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 
 namespace parmem::test {
 
@@ -15,6 +17,27 @@ std::map<std::string, TestFn>& registry();
 
 struct Register {
   Register(const char* name, TestFn fn) { registry()[name] = fn; }
+};
+
+// Forces a fork2's right branch to be stolen: the right branch calls
+// arrive() first, and the left branch calls await(ctx), which returns
+// only once the right branch has started -- necessarily on another
+// worker, since the forker is busy running the left branch. await polls
+// while it spins, so a stop of the world never waits on it. Needs a
+// runtime with at least two workers.
+class StealRendezvous {
+ public:
+  void arrive() { started_.store(true, std::memory_order_release); }
+  template <class Ctx>
+  void await(Ctx& c) {
+    while (!started_.load(std::memory_order_acquire)) {
+      c.poll();
+      std::this_thread::yield();
+    }
+  }
+
+ private:
+  std::atomic<bool> started_{false};
 };
 
 }  // namespace parmem::test
